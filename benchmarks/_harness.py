@@ -1,9 +1,8 @@
 """Shared helpers for the benchmark suite.
 
 Every ``bench_*`` module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md §6).  Results are printed and also
-written to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote
-them.
+evaluation section.  Results are printed and also written to
+``benchmarks/results/<name>.txt``.
 
 Set ``REPRO_BENCH_FAST=1`` to restrict dataset sweeps to MAS only (useful
 while iterating); the full run covers all three benchmarks.

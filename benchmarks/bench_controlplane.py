@@ -6,7 +6,8 @@ numbers of the persistent control-plane subsystem:
 * **durable hit latency** — a translation answered from the shared
   SQLite store (replica B serving a request replica A warmed) must cost
   no more than :data:`DURABLE_HIT_BUDGET` times an in-process LRU hit.
-  Durable admission happens before parsing, so this is the whole
+  Neither path parses the repeated NLQ (the LRU holds an NLQ-keyed
+  entry; durable admission runs before parsing), so this is the whole
   HTTP-free request path both times.
 * **zero duplicated learning** — two *separate gateway processes* share
   one store; an observed request served by replica A and idempotently
@@ -46,8 +47,11 @@ from repro.api import Engine, EngineConfig  # noqa: E402
 
 NLQ_WARM = "return the papers after 2000"
 NLQ_OBSERVED = "return the organizations"
-#: Durable hits may cost at most this many in-process LRU hits.
-DURABLE_HIT_BUDGET = 2.0
+#: Durable hits may cost at most this many in-process LRU hits.  The LRU
+#: hit stopped paying the NaLIR parse when NLQs got their own cache
+#: entries (~6x cheaper), while a durable hit still reads and decodes a
+#: stored payload from SQLite: ~3x of the LRU hit on a 2-CPU host.
+DURABLE_HIT_BUDGET = 5.0
 #: The two replica subprocesses share this much wall clock to come up.
 READY_DEADLINE = 90.0
 #: An accepted verdict submitted to one replica must reach the other

@@ -40,15 +40,21 @@ SPEEDUP_GATE = 3.0
 #: Maximum tracing overhead on the warm cached translate path (percent).
 TRACING_OVERHEAD_GATE_PCT = 5.0
 
-#: Maximum request-journal overhead on the warm serving wire path
-#: (NLQ in, parse on every request, translate served from cache).
-JOURNAL_OVERHEAD_GATE_PCT = 5.0
+#: Maximum request-journal cost per warm request on the serving wire
+#: path (NLQ in, answered from the translate cache's NLQ entry), in µs.
+#: An absolute budget: a repeated NLQ no longer pays the ~150 µs parse,
+#: so the path costs ~15 µs and a percentage would gate the interpreter's
+#: per-call floor rather than the journal.  2 µs is a quarter of what the
+#: former 5%-of-a-parsing-request budget allowed.
+JOURNAL_OVERHEAD_GATE_US = 2.0
 
-#: Maximum SLO-evaluator + drift-monitor overhead on the same warm wire
-#: path.  The per-request bill is one DriftMonitor.observe (two bisects
-#: + a memoized fragment digest under a lock); SLO evaluation itself is
-#: scrape-cadence work and never runs on the request path.
-SLO_OVERHEAD_GATE_PCT = 5.0
+#: Maximum SLO-evaluator + drift-monitor cost per request on the same
+#: warm wire path, in µs (absolute for the same reason).  The
+#: per-request bill is one DriftMonitor.observe (two bisects + a
+#: memoized fragment digest under a lock): 2–4 µs on a 2-CPU x86 host,
+#: against the ~8 µs the former percentage allowed.  SLO evaluation
+#: itself is scrape-cadence work and never runs on the request path.
+SLO_OVERHEAD_GATE_US = 6.0
 
 PASSES = 3
 
@@ -290,13 +296,13 @@ def bench_journal_overhead(smoke: bool) -> dict:
     and writes all happen later, on the background writer thread.  Two
     measurements pin that claim down:
 
-    * **The gated number** (``journal_overhead_pct``) is taken on the
+    * **The gated number** (``journal_overhead_us``, with
+      ``journal_overhead_pct`` reported beside it) is taken on the
       serving wire path: requests enter as NLQ strings, exactly as they
-      arrive over HTTP.  The translate cache is keyed on canonicalized
-      keywords, so parsing runs on *every* request and only the
-      translate stage is served from cache — that is what a warm served
-      request actually pays, and what the <= 5% regression budget
-      protects.  Paired ABBA rounds with the ratio of per-mode median
+      arrive over HTTP, and repeats are answered from the translate
+      cache's NLQ entry without a parse — that is what a warm served
+      request actually pays, and what the per-request budget
+      (:data:`JOURNAL_OVERHEAD_GATE_US`) protects.  Paired ABBA rounds with the ratio of per-mode median
       window times keep the estimate stable on noisy (virtualized,
       single-core) hosts.
     * **The informational number** (``journal_hit_delta_ns``) isolates
@@ -356,8 +362,8 @@ def bench_journal_overhead(smoke: bool) -> dict:
         gc_was_enabled = gc.isenabled()
         perf = time.perf_counter
         try:
-            # Phase 1 — the gated wire-path ratio (NLQ in, parse every
-            # request, translate from cache).
+            # Phase 1 — the gated wire-path cost (NLQ in, answered from
+            # the NLQ cache entry).
             for index in range(rounds):
                 order = (
                     (True, False) if index % 4 in (0, 3) else (False, True)
@@ -406,10 +412,12 @@ def bench_journal_overhead(smoke: bool) -> dict:
     hit_delta_ns = (
         (sum(floors[True]) - sum(floors[False])) * 1e9 / len(keyword_requests)
     )
+    unjournaled_us = median(times[False]) * per_request
     return {
         "warm_journaled_us": median(times[True]) * per_request,
-        "warm_unjournaled_us": median(times[False]) * per_request,
+        "warm_unjournaled_us": unjournaled_us,
         "journal_overhead_pct": 100.0 * (median_ratio - 1.0),
+        "journal_overhead_us": unjournaled_us * (median_ratio - 1.0),
         "journal_hit_delta_ns": hit_delta_ns,
     }
 
@@ -484,10 +492,12 @@ def bench_slo_overhead(smoke: bool) -> dict:
     median = lambda s: sorted(s)[len(s) // 2]  # noqa: E731
     median_ratio = median(times[True]) / median(times[False])
     per_request = 1e6 / (sweeps * len(nlqs))
+    unmonitored_us = median(times[False]) * per_request
     return {
         "warm_monitored_us": median(times[True]) * per_request,
-        "warm_unmonitored_us": median(times[False]) * per_request,
+        "warm_unmonitored_us": unmonitored_us,
         "slo_overhead_pct": 100.0 * (median_ratio - 1.0),
+        "slo_overhead_us": unmonitored_us * (median_ratio - 1.0),
     }
 
 
@@ -535,9 +545,10 @@ def main(argv: list[str]) -> int:
                 "cold_build_ms", "warm_translate_us", "warm_traced_us",
                 "warm_untraced_us", "tracing_overhead_pct",
                 "warm_journaled_us", "warm_unjournaled_us",
-                "journal_overhead_pct", "journal_hit_delta_ns",
+                "journal_overhead_pct", "journal_overhead_us",
+                "journal_hit_delta_ns",
                 "warm_monitored_us", "warm_unmonitored_us",
-                "slo_overhead_pct",
+                "slo_overhead_pct", "slo_overhead_us",
             )
         },
         config={
@@ -567,19 +578,19 @@ def main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         failed = failed or not advisory_speedup
-    if result["journal_overhead_pct"] > JOURNAL_OVERHEAD_GATE_PCT:
+    if result["journal_overhead_us"] > JOURNAL_OVERHEAD_GATE_US:
         print(
             f"{'NOTE' if advisory_speedup else 'FAIL'}: journal overhead "
-            f"{result['journal_overhead_pct']:.1f}% exceeds the "
-            f"{JOURNAL_OVERHEAD_GATE_PCT:.0f}% gate",
+            f"{result['journal_overhead_us']:.2f} µs/request exceeds the "
+            f"{JOURNAL_OVERHEAD_GATE_US:.1f} µs gate",
             file=sys.stderr,
         )
         failed = failed or not advisory_speedup
-    if result["slo_overhead_pct"] > SLO_OVERHEAD_GATE_PCT:
+    if result["slo_overhead_us"] > SLO_OVERHEAD_GATE_US:
         print(
             f"{'NOTE' if advisory_speedup else 'FAIL'}: SLO+drift overhead "
-            f"{result['slo_overhead_pct']:.1f}% exceeds the "
-            f"{SLO_OVERHEAD_GATE_PCT:.0f}% gate",
+            f"{result['slo_overhead_us']:.2f} µs/request exceeds the "
+            f"{SLO_OVERHEAD_GATE_US:.1f} µs gate",
             file=sys.stderr,
         )
         failed = failed or not advisory_speedup
@@ -590,11 +601,11 @@ def main(argv: list[str]) -> int:
         f"(gate {SPEEDUP_GATE:.0f}x), tracing overhead "
         f"{result['tracing_overhead_pct']:+.1f}% "
         f"(gate {TRACING_OVERHEAD_GATE_PCT:.0f}%), journal overhead "
-        f"{result['journal_overhead_pct']:+.1f}% "
-        f"(gate {JOURNAL_OVERHEAD_GATE_PCT:.0f}%, "
+        f"{result['journal_overhead_us']:+.2f} µs/request "
+        f"(gate {JOURNAL_OVERHEAD_GATE_US:.1f} µs, "
         f"hit delta {result['journal_hit_delta_ns']:+.0f} ns), "
-        f"SLO+drift overhead {result['slo_overhead_pct']:+.1f}% "
-        f"(gate {SLO_OVERHEAD_GATE_PCT:.0f}%), "
+        f"SLO+drift overhead {result['slo_overhead_us']:+.2f} µs/request "
+        f"(gate {SLO_OVERHEAD_GATE_US:.1f} µs), "
         f"parity held on {result['requests']} requests"
     )
     return 0

@@ -28,7 +28,9 @@ _TRAJECTORY_KEYS = (
     ("speedup", "MAPKEYWORDS speedup"),
     ("tracing_overhead_pct", "tracing overhead (%)"),
     ("journal_overhead_pct", "journal overhead (%)"),
+    ("journal_overhead_us", "journal overhead (µs/req)"),
     ("slo_overhead_pct", "SLO+drift overhead (%)"),
+    ("slo_overhead_us", "SLO+drift overhead (µs/req)"),
 )
 
 

@@ -16,8 +16,8 @@ Quick start::
         response = engine.translate("return the papers after 2000")
         print(response.sql)
 
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-versus-measured numbers.
+See README.md for the architecture overview; the paper-versus-measured
+numbers come from ``benchmarks/bench_table3_accuracy.py``.
 """
 
 __version__ = "1.8.0"

@@ -9,7 +9,9 @@ passes when every applicable oracle agrees — no annotation needed:
   tie-breaks) at every obscurity level, under every mutation.
 * **cache** — a cache-enabled engine, a ``cache_size=0`` engine, and a
   control-plane-backed engine must serve identical SQL and (wire-rounded)
-  scores for identical requests.
+  scores for identical requests; the case item's raw NLQ, when it parses,
+  must serve the same keywords and answer from a fresh parse, from the
+  pre-parse NLQ cache entry, and with caching off.
 * **gateway** — the multi-tenant gateway must agree with a standalone
   single-tenant engine, modulo provenance/timings.
 * **mutation** — semantics-preserving mutations (see
@@ -76,6 +78,8 @@ class WorkloadContext:
     engine_cached: Engine | None = None
     engine_uncached: Engine | None = None
     engine_control_plane: Engine | None = None
+    #: item_id -> raw NLQ, for the items whose NLQ parses.
+    nlqs: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, name: str, control_plane_dir: Path) -> "WorkloadContext":
@@ -111,6 +115,12 @@ class WorkloadContext:
                 control_plane_path=str(control_plane_dir / f"{name}.sqlite3"),
             )
         )
+        parser = ctx.engine_uncached.parser
+        ctx.nlqs = {
+            item.item_id: item.nlq
+            for item in dataset.usable_items()
+            if not parser.parse(item.nlq).failed
+        }
         return ctx
 
     def close(self) -> None:
@@ -199,6 +209,33 @@ class FuzzContext:
                     "cache", case,
                     f"engine {label!r} diverged from 'uncached': "
                     f"{signature!r} != {baseline!r}",
+                )
+        return self._check_nlq_cache(case, ctx)
+
+    def _check_nlq_cache(
+        self, case: FuzzCase, ctx: WorkloadContext
+    ) -> dict | None:
+        """The item's NLQ: parse path ≡ NLQ cache hit ≡ caching off."""
+        nlq = ctx.nlqs.get(case.item_id)
+        if nlq is None:
+            return None
+        request = TranslationRequest(nlq=nlq, limit=case.limit, observe=False)
+        served = {
+            "nlq_parse": ctx.engine_cached.translate(request),
+            "nlq_hit": ctx.engine_cached.translate(request),
+            "nlq_uncached": ctx.engine_uncached.translate(request),
+        }
+        observed = {
+            label: (response.keywords, response_signature(response, case.limit))
+            for label, response in served.items()
+        }
+        baseline = observed["nlq_uncached"]
+        for label, seen in observed.items():
+            if seen != baseline:
+                return _violation(
+                    "cache", case,
+                    f"NLQ {nlq!r}: engine {label!r} diverged from "
+                    f"'nlq_uncached': {seen!r} != {baseline!r}",
                 )
         return None
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.interface import Configuration, Keyword
 from repro.core.join_inference import JoinPath
@@ -17,7 +18,9 @@ class TranslationResult:
 
     ``config_score`` ranks first, ``join_score`` second (a pipeline NLIDB
     decides keyword mappings before join paths); ``sql`` is the rendered
-    statement.
+    statement, written once on first access and memoized on the instance
+    (the frozen ``Query`` cannot change under it).  The memo is not a
+    field: equality and pickles see the five fields only.
     """
 
     query: Query
@@ -26,9 +29,14 @@ class TranslationResult:
     config_score: float
     join_score: float
 
-    @property
+    @cached_property
     def sql(self) -> str:
         return write_query(self.query)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("sql", None)
+        return state
 
     @property
     def rank_key(self) -> tuple[float, float]:

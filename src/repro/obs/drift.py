@@ -15,7 +15,7 @@ ranking behaviour per tenant:
   collapsing onto few fragments, or scattering).
 
 Per-request accounting is a couple of histogram bisects behind one lock
-(inside the warm wire path's <= 5% overhead gate, measured in
+(inside the warm wire path's per-request overhead budget, measured in
 ``bench_perf_core.py``).  Judgment happens at **tick** time — after a
 learning absorb or an artifact reload — when the accumulated window is
 compared against the reference distribution using the exact-merge

@@ -12,8 +12,8 @@ serving history.
 
 Design constraints, in order:
 
-* **The hot path must stay within the <= 5% overhead gate** on the
-  warm serving wire path (``bench_perf_core.py``).  :meth:`RequestJournal.offer`
+* **The hot path must stay within the <= 2 µs per-request budget** on
+  the warm serving wire path (``bench_perf_core.py``).  :meth:`RequestJournal.offer`
   therefore does no serialization, no string work, no locking and no
   I/O: it is one bounded-length check and one ``deque.append`` of a
   pre-built tuple of references.  A single daemon writer thread drains

@@ -74,11 +74,20 @@ class LRUCache:
         self._misses = 0
         self._evictions = 0
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(
+        self, key: Hashable, default: Any = None, *, count_miss: bool = True
+    ) -> Any:
+        """Cached value for ``key`` (``default`` when absent).
+
+        ``count_miss=False`` leaves a miss untallied, for a first-level
+        probe whose miss is followed by a counted second lookup: the
+        request then records one hit or miss, not two.
+        """
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
-                self._misses += 1
+                if count_miss:
+                    self._misses += 1
                 return default
             self._data.move_to_end(key)
             self._hits += 1

@@ -7,6 +7,10 @@ translations, keyword-mapping configurations and join paths — a
 rest out over a thread pool, and online ingestion of served queries back
 into the Query Fragment Graph.
 
+Raw NLQs get a first-level entry in the same translate LRU, keyed on
+the exact NLQ string (see :meth:`TranslationService.translate_nlq`), so
+a repeated question skips the NaLIR parse as well as the translation.
+
 Cache keys include the QFG revision counter, so absorbing new queries
 (which changes scores) invalidates stale entries implicitly: the next
 request under the new revision misses and recomputes, while the LRU
@@ -110,29 +114,41 @@ class CachingJoinPathGenerator:
         return getattr(self.inner, name)
 
 
-def resolve_request_keywords(
-    request: TranslationRequest, parser
-) -> tuple[tuple[Keyword, ...], float]:
-    """The keywords a request runs on, plus parse wall-clock in ms.
+#: Tags NLQ-keyed translate-cache entries.  Their 3-tuple keys can never
+#: equal a keyword request's ``(keywords_cache_key, revision)`` pair.
+_NLQ_KEY = "nlq"
 
-    Keyword requests pass through untouched; NLQ requests are routed
-    through ``parser`` (any object with NaLIR's ``parse`` contract).
+
+def parse_nlq(nlq: str, parser) -> tuple[tuple[Keyword, ...], float]:
+    """Keywords of one raw NLQ, plus parse wall-clock in ms.
+
+    ``parser`` is any object with NaLIR's ``parse`` contract; a missing
+    parser or a failed parse is the client's problem (ServingError).
     """
-    if request.keywords is not None:
-        return request.keywords, 0.0
     if parser is None:
         raise ServingError(
             "this frontend has no NLQ parser; send hand-parsed "
             "'keywords' instead"
         )
     started = time.perf_counter()
-    parsed = parser.parse(request.nlq)
+    parsed = parser.parse(nlq)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if parsed.failed:
-        raise ServingError(
-            f"could not parse the NLQ into keywords: {request.nlq!r}"
-        )
+        raise ServingError(f"could not parse the NLQ into keywords: {nlq!r}")
     return tuple(parsed.keywords), elapsed_ms
+
+
+def resolve_request_keywords(
+    request: TranslationRequest, parser
+) -> tuple[tuple[Keyword, ...], float]:
+    """The keywords a request runs on, plus parse wall-clock in ms.
+
+    Keyword requests pass through untouched; NLQ requests are routed
+    through :func:`parse_nlq`.
+    """
+    if request.keywords is not None:
+        return request.keywords, 0.0
+    return parse_nlq(request.nlq, parser)
 
 
 def take_truncation(
@@ -259,12 +275,17 @@ def translate_request(
         if plane.cache_enabled:
             service.metrics.increment("durable_cache_misses")
     keywords = request.keywords
+    translate_started = time.perf_counter()
     try:
-        keywords, parse_ms = resolve_request_keywords(request, parser)
-        translate_started = time.perf_counter()
-        results = service.translate(
-            keywords, trace=tracer is not None, meta=meta
-        )
+        if keywords is not None:
+            parse_ms = 0.0
+            results = service.translate(
+                keywords, trace=tracer is not None, meta=meta
+            )
+        else:
+            keywords, results, parse_ms = service.translate_nlq(
+                request.nlq, parser, trace=tracer is not None, meta=meta
+            )
         now = time.perf_counter()
     except Exception as exc:
         if admission is not None and admission.claim is not None:
@@ -292,9 +313,11 @@ def translate_request(
             ))
         raise
     total_ms = (now - started) * 1000.0
+    # An NLQ miss parses inside the service call, before translating.
+    parse_s = parse_ms / 1000.0
     timings = {
         "parse": parse_ms,
-        "translate": (now - translate_started) * 1000.0,
+        "translate": (now - translate_started - parse_s) * 1000.0,
         "total": total_ms,
     }
     trace_id = None
@@ -327,12 +350,13 @@ def translate_request(
                 _SINK.set(None)
                 if sink is _ARMED:
                     sink = None
+            offset = translate_started - started
             children = []
             if parse_ms:
-                children.append(("parse", 0.0, parse_ms / 1000.0))
+                children.append(("parse", offset, parse_s))
             children.append(
-                ("translate", translate_started - started,
-                 now - translate_started)
+                ("translate", offset + parse_s,
+                 now - translate_started - parse_s)
             )
             trace_id = tracer.conclude(
                 sink,
@@ -366,8 +390,8 @@ def translate_request(
         # dict lookups, and the wall-clock stamp is the import-time epoch
         # plus a perf_counter already taken — no time.time() call.  This
         # block (plus the `meta` dict above) is the warm path's whole
-        # journaling bill — gated <= 5% in bench_perf_core.py alongside
-        # tracing's identical budget.
+        # journaling bill — gated at <= 2 µs per request in
+        # bench_perf_core.py.
         journal.offer((
             "request", _EPOCH + now, service.journal_tenant, request.nlq,
             keywords, results[0] if results else None, total_ms,
@@ -548,6 +572,58 @@ class TranslationService:
         path passes a dict, everyone else pays one ``is not None`` test.
         """
         key = (keywords_cache_key(tuple(keywords)), self._qfg_revision())
+        return self._translate(keywords, key, trace, meta)
+
+    def translate_nlq(
+        self,
+        nlq: str,
+        parser,
+        *,
+        trace: bool = False,
+        meta: dict | None = None,
+    ) -> tuple[tuple[Keyword, ...], list[TranslationResult], float]:
+        """``(keywords, results, parse_ms)`` for one raw NLQ.
+
+        The translate LRU is probed first under the exact NLQ string and
+        the QFG revision, so a repeated question skips the parse as well
+        as the translation (``parse_ms`` is then 0.0).  A miss parses
+        with ``parser`` (see :func:`parse_nlq`), translates through the
+        keyword-keyed entry, and stores ``(keywords, results)`` — the
+        very list the keyword entry holds — under the NLQ key.  Parse
+        failures raise ServingError and are never cached.
+
+        The NLQ probe tallies hits only; on a miss the keyword lookup is
+        the counted one.  Either way the request records one ``requests``
+        increment, one ``translate`` latency sample and one translate
+        cache hit or miss — the same ledger as a keyword request.
+        """
+        revision = self._qfg_revision()
+        nlq_key = (_NLQ_KEY, nlq, revision)
+        started = time.perf_counter()
+        cached = self._translate_cache.get(nlq_key, count_miss=False)
+        if cached is not None:
+            self.metrics.increment("requests")
+            self.metrics.record_latency(
+                "translate", time.perf_counter() - started
+            )
+            if meta is not None:
+                meta["cache_hit"] = True
+            keywords, results = cached
+            return keywords, results, 0.0
+        keywords, parse_ms = parse_nlq(nlq, parser)
+        results = self._translate(
+            keywords, (keywords_cache_key(keywords), revision), trace, meta
+        )
+        self._translate_cache.put(nlq_key, (keywords, results))
+        return keywords, results, parse_ms
+
+    def _translate(
+        self,
+        keywords: Sequence[Keyword],
+        key: tuple,
+        trace: bool,
+        meta: dict | None,
+    ) -> list[TranslationResult]:
         self.metrics.increment("requests")
         with self.metrics.time("translate"):
             # Hit/miss tallies live on the cache itself (stats()["caches"]).

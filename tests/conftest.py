@@ -12,6 +12,12 @@ _INT = ColumnType.INTEGER
 _TEXT = ColumnType.TEXT
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (deselect with -m 'not slow')"
+    )
+
+
 def build_mini_db() -> Database:
     """A miniature MAS-like schema used across unit tests."""
     db = Database("mini", Catalog())
