@@ -5,9 +5,9 @@ numbers of the multi-tenant gateway subsystem:
 
 * **consolidation** — aggregate HTTP throughput of one gateway hosting
   mas, yelp and imdb behind a single port, versus the same three
-  engines behind three separate single-engine servers (the in-process
-  stand-in for N separate processes: same handlers, same engines, one
-  port each).  Hosting everything in one process must not cost more
+  engines behind three one-tenant gateways — what ``repro serve`` runs
+  (the in-process stand-in for N separate processes: same handlers,
+  same engines, one port each).  Hosting everything in one process must not cost more
   than a modest routing overhead.
 * **hot-reload blackout** — traffic is hammered at one tenant while a
   new artifact version is published and ``/admin/reload`` fires.  The
@@ -52,7 +52,6 @@ from repro.datasets import load_dataset  # noqa: E402
 from repro.gateway import Gateway, GatewayConfig, make_gateway_server  # noqa: E402
 from repro.obs.prometheus import parse_exposition  # noqa: E402
 from repro.serving import ArtifactStore  # noqa: E402
-from repro.serving.http_server import make_server  # noqa: E402
 
 TENANTS = ("mas", "yelp", "imdb")
 NLQS = {
@@ -159,21 +158,24 @@ def _drive(targets: list[tuple[int, str, dict]], threads_per_target: int,
     return total / elapsed, failures[0]
 
 
-def bench_consolidation(store_root: Path, threads_per_tenant: int,
-                        requests_per_thread: int):
-    """(gateway qps, separate-servers qps, failures) on identical traffic."""
-    config = GatewayConfig.from_dict({
+def _artifact_config(names, store_root: Path) -> GatewayConfig:
+    """A gateway hosting `names`, each served from the artifact store."""
+    return GatewayConfig.from_dict({
         "tenants": {
             name: {"engine": {
                 "dataset": name,
                 "log_source": "artifacts",
                 "artifacts": str(store_root),
             }}
-            for name in TENANTS
+            for name in names
         },
     })
 
-    with Gateway.from_config(config) as gateway:
+
+def bench_consolidation(store_root: Path, threads_per_tenant: int,
+                        requests_per_thread: int):
+    """(gateway qps, separate-servers qps, failures) on identical traffic."""
+    with Gateway.from_config(_artifact_config(TENANTS, store_root)) as gateway:
         server = make_gateway_server(gateway, port=0)
         _serve(server)
         port = server.server_address[1]
@@ -191,17 +193,17 @@ def bench_consolidation(store_root: Path, threads_per_tenant: int,
         scrape = _scrape(port)
         server.shutdown()
 
+    # The baseline: one `repro serve`-shaped gateway per tenant, each on
+    # its own port and driven through the /translate alias.
     separate_servers = []
     targets = []
-    from repro.api import Engine, EngineConfig
-
     for name in TENANTS:
-        engine = Engine.from_config(EngineConfig(
-            dataset=name, log_source="artifacts", artifacts=str(store_root),
-        ))
-        server = make_server(engine=engine, port=0)
+        gateway = Gateway.from_config(
+            _artifact_config([name], store_root)
+        ).start()
+        server = make_gateway_server(gateway, port=0)
         _serve(server)
-        separate_servers.append((server, engine))
+        separate_servers.append((server, gateway))
         targets.append(
             (server.server_address[1], "/translate", {"nlq": NLQS[name]})
         )
@@ -209,9 +211,9 @@ def bench_consolidation(store_root: Path, threads_per_tenant: int,
     separate_qps, separate_failures = _drive(
         targets, threads_per_tenant, requests_per_thread
     )
-    for server, engine in separate_servers:
+    for server, gateway in separate_servers:
         server.shutdown()
-        engine.close()
+        gateway.close()
     return (
         gateway_qps, separate_qps,
         gateway_failures + separate_failures, scrape,
@@ -490,7 +492,7 @@ def main() -> int:
     ratio = gateway_qps / separate_qps if separate_qps else 0.0
 
     rows = [
-        ["3 separate single-engine servers", f"{separate_qps:.0f} q/s", ""],
+        ["3 separate one-tenant gateways", f"{separate_qps:.0f} q/s", ""],
         ["one gateway, one port", f"{gateway_qps:.0f} q/s",
          f"{ratio:.2f}x of separate"],
         ["requests during reload hammer", str(len(results)),

@@ -34,7 +34,6 @@ import signal
 import sys
 import threading
 import time
-import warnings
 
 from repro import __version__
 from repro.api import Engine, EngineConfig
@@ -114,8 +113,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         max_workers=getattr(args, "workers", 4),
         learn_batch_size=getattr(args, "learn_batch", None),
         slow_query_ms=getattr(args, "slow_query_ms", None),
-        journal_dir=getattr(args, "journal", None),
-        control_plane_path=getattr(args, "control_plane", None),
         # Best-effort parsing for end users (the evaluation harness uses
         # the failure-faithful parser instead).
         simulate_parse_failures=False,
@@ -309,24 +306,6 @@ def _check_serve_args(args: argparse.Namespace) -> None:
         )
 
 
-def _build_service(args: argparse.Namespace):
-    """Deprecated: manual (service, parser) assembly for ``repro serve``.
-
-    Kept as a thin shim over the Engine; use
-    ``Engine.from_config(EngineConfig(...))`` and read ``.service`` /
-    ``.parser`` off the engine instead.
-    """
-    warnings.warn(
-        "_build_service's manual assembly is deprecated; build the stack "
-        "with repro.api.Engine.from_config",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _check_serve_args(args)
-    engine = Engine.from_config(_engine_config(args))
-    return engine.service, engine.parser
-
-
 def _install_sigterm_shutdown(server) -> None:
     """Make SIGTERM a graceful stop, not a kill.
 
@@ -347,30 +326,8 @@ def _install_sigterm_shutdown(server) -> None:
         pass  # not the main thread (embedded/test use); Ctrl-C still works
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the JSON translation endpoint for one dataset."""
-    from repro.serving import make_server
-
-    _check_serve_args(args)
-    if args.json_logs:
-        from repro.obs.logs import configure_json_logging
-
-        configure_json_logging()
-    engine = Engine.from_config(_engine_config(args))
-    server = make_server(
-        engine=engine, host=args.host, port=args.port, quiet=False
-    )
-    host, port = server.server_address[:2]
-    rows = [
-        ("serving", f"{engine.nlidb.name} on {args.dataset.upper()}"),
-        ("endpoint", f"http://{host}:{port}/translate"),
-        ("health", f"http://{host}:{port}/healthz"),
-        ("stats", f"http://{host}:{port}/stats"),
-        ("metrics", f"http://{host}:{port}/metrics"),
-    ]
-    if engine.control_plane is not None:
-        rows.append(("feedback", f"POST http://{host}:{port}/feedback"))
-    print(format_kv(rows), flush=True)
+def _serve_gateway(server, gateway) -> None:
+    """Serve until Ctrl-C or SIGTERM, then flush and close the gateway."""
     _install_sigterm_shutdown(server)
     try:
         server.serve_forever()
@@ -378,10 +335,60 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("\nshutting down")
     finally:
         server.shutdown()
-        pending = engine.service.pending_observations
-        engine.close()
+        server.server_close()
+        pending = gateway.pending_observations()
+        gateway.close()
         print(f"flushed {pending} pending observation(s) into the QFG",
               flush=True)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve one dataset: a one-tenant gateway named after the dataset.
+
+    The dataset name is the tenant id, which is also the journal and
+    control-plane tenant, so ``POST /translate`` and ``/feedback`` alias
+    ``/t/<dataset>/...``.
+    """
+    from repro.gateway import (
+        Gateway,
+        GatewayConfig,
+        TenantConfig,
+        make_gateway_server,
+    )
+
+    _check_serve_args(args)
+    if args.json_logs:
+        from repro.obs.logs import configure_json_logging
+
+        configure_json_logging()
+    gateway = Gateway(GatewayConfig(
+        tenants={args.dataset: TenantConfig(engine=_engine_config(args))},
+        journal_dir=args.journal,
+        control_plane_path=args.control_plane,
+    ))
+    try:
+        # Engine first, listener second: a client that waits for the
+        # banner finds the endpoint live.
+        gateway.start()
+        server = make_gateway_server(
+            gateway, host=args.host, port=args.port, quiet=False
+        )
+    except BaseException:
+        gateway.close()
+        raise
+    host, port = server.server_address[:2]
+    engine = gateway.host(args.dataset).engine
+    rows = [
+        ("serving", f"{engine.nlidb.name} on {args.dataset.upper()}"),
+        ("endpoint", f"http://{host}:{port}/translate"),
+        ("health", f"http://{host}:{port}/healthz"),
+        ("stats", f"http://{host}:{port}/stats"),
+        ("metrics", f"http://{host}:{port}/metrics"),
+    ]
+    if gateway.control_plane is not None:
+        rows.append(("feedback", f"POST http://{host}:{port}/feedback"))
+    print(format_kv(rows), flush=True)
+    _serve_gateway(server, gateway)
     return EXIT_OK
 
 
@@ -418,19 +425,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             warmup_failure.append(exc)
             server.shutdown()
 
-    warmup = threading.Thread(target=_warm_up, daemon=True)
-    warmup.start()
-    _install_sigterm_shutdown(server)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shutdown()
-        pending = gateway.pending_observations()
-        gateway.close()
-        print(f"flushed {pending} pending observation(s) into the QFG",
-              flush=True)
+    threading.Thread(target=_warm_up, daemon=True).start()
+    _serve_gateway(server, gateway)
     if warmup_failure:
         raise warmup_failure[0]
     return EXIT_OK
@@ -585,10 +581,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                 payload = json.load(response)
         except (URLError, OSError, ValueError) as exc:
             raise ReproError(f"could not fetch {url}: {exc}") from exc
-        # The gateway nests per-tenant reports; the single-engine server
-        # returns one bare report.
-        reports = payload.get("tenants") if "tenants" in payload \
-            else {"default": payload}
+        if not isinstance(payload, dict) or \
+                not isinstance(payload.get("tenants"), dict):
+            raise ReproError(f"{url} returned no per-tenant SLO reports")
+        reports = payload["tenants"]
     else:
         from repro.obs.slo import SLOPolicy, evaluate_journal
 
@@ -772,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for --generate")
 
     serve = sub.add_parser(
-        "serve", help="run the JSON translation HTTP endpoint"
+        "serve", help="run the JSON translation HTTP endpoint for one "
+                      "dataset (a one-tenant gateway)"
     )
     serve.add_argument("--dataset", choices=sorted(DATASET_BUILDERS),
                        default="mas")
@@ -856,8 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="control-plane SQLite file (the serve/gateway "
                                "control_plane_path)")
     feedback.add_argument("--tenant", default="default",
-                          help="tenant the verdict belongs to (single-engine "
-                               "servers use their dataset name, e.g. 'mas')")
+                          help="tenant the verdict belongs to (`repro "
+                               "serve` uses the dataset name, e.g. 'mas')")
     feedback.add_argument("--verdict", required=True,
                           choices=("accept", "reject", "correct"))
     feedback.add_argument("--request-id", default=None, dest="request_id",

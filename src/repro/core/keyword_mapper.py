@@ -183,6 +183,15 @@ class KeywordMapper:
         self._dice_graph = None
         self._dice_revision = -1
 
+    @property
+    def inner(self) -> "KeywordMapper":
+        """The mapper itself, for code that unwraps stage wrappers.
+
+        The benchmark's tracing self-test reads ``_mapper.inner`` the way
+        it reads ``_joins.inner`` on the join cache.
+        """
+        return self
+
     # ----------------------------------------------------- Algorithm 1
 
     def map_keywords(

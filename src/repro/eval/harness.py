@@ -11,22 +11,17 @@ by name; ``SYSTEM_NAMES`` is derived from the registry.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.fragments import Obscurity
 from repro.core.keyword_mapper import ScoringParams
 from repro.core.log import QueryLog
-from repro.core.templar import Templar
 from repro.datasets.base import BenchmarkDataset
-from repro.embedding.model import CompositeModel
 from repro.errors import ReproError
 from repro.eval.folds import split_folds, train_test_split
 from repro.eval.metrics import fq_correct, kw_correct
-from repro.nlidb.base import NLIDB
 from repro.nlidb.registry import (
     BackendSpec,
-    build_backend,
     display_names,
     get_backend,
 )
@@ -134,46 +129,6 @@ def _trial_engine(
         _engine_config(spec, dataset.name, config),
         dataset=dataset,
         query_log=log if spec.augmented else None,
-    )
-
-
-def _build_system(
-    name: str,
-    dataset: BenchmarkDataset,
-    log: QueryLog,
-    config: EvalConfig,
-) -> NLIDB:
-    """Deprecated: hard-coded system dispatch, kept as a thin shim.
-
-    Use :func:`repro.nlidb.registry.build_backend` for a bare system, or
-    ``repro.api.Engine.from_config`` for a full stack.
-    """
-    warnings.warn(
-        "_build_system's hard-coded system dispatch is deprecated; "
-        "resolve backends through repro.nlidb.registry or build a full "
-        "stack with repro.api.Engine.from_config",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = get_backend(name)
-    templar = None
-    if spec.augmented:
-        templar = Templar(
-            dataset.database,
-            CompositeModel(dataset.lexicon),
-            log,
-            obscurity=config.obscurity,
-            params=config.scoring_params(),
-            use_log_keywords=config.use_log_keywords,
-            use_log_joins=config.use_log_joins,
-        )
-    return build_backend(
-        spec.name,
-        dataset,
-        templar,
-        max_configurations=config.max_configurations,
-        params=config.scoring_params(),
-        simulate_parse_failures=True,
     )
 
 

@@ -408,11 +408,18 @@ class Gateway:
             )
         return reports
 
-    def traces(self, tenant: str | None = None, limit: int = 50) -> list[dict]:
+    def traces(
+        self,
+        tenant: str | None = None,
+        limit: int = 50,
+        trace_id: str | None = None,
+    ) -> list[dict]:
         """Retained traces across tenants, newest first, tenant-stamped.
 
         ``tenant`` narrows to one tenant (unknown tenants raise
-        :class:`~repro.errors.GatewayError`, the HTTP 404 path).
+        :class:`~repro.errors.GatewayError`, the HTTP 404 path);
+        ``trace_id`` narrows to the one trace a response's provenance
+        named (an empty list once it is no longer retained).
         """
         if tenant is not None:
             hosts = [(tenant, self.host(tenant))]
@@ -422,7 +429,13 @@ class Gateway:
         for tenant_id, host in hosts:
             if not host.live:
                 continue
-            for trace in host.engine.tracer.store.traces(limit=limit):
+            store = host.engine.tracer.store
+            if trace_id is None:
+                retained = store.traces(limit=limit)
+            else:
+                trace = store.get(trace_id)
+                retained = [trace] if trace is not None else []
+            for trace in retained:
                 payload = trace.to_dict()
                 payload["tenant"] = tenant_id
                 stamped.append((trace.started_unix, payload))

@@ -11,7 +11,8 @@ Endpoints::
                                   live tenant, tenant-labelled (?format=json for
                                   the legacy gateway-only JSON snapshot)
     GET  /admin/traces            retained request traces across tenants
-                                  (?tenant=<id> narrows to one tenant)
+                                  (?tenant=<id> narrows to one tenant,
+                                  ?id=<trace_id> to one trace)
     GET  /admin/logs/query        self-analytics: translate ?nlq=... over the
                                   gateway's shared request journal and execute
                                   it (requires journal_dir in the gateway
@@ -23,15 +24,17 @@ Endpoints::
                                   control plane is configured)
     POST /t/<tenant>/feedback     record accept/reject/correct on a prior
                                   response (requires control_plane_path)
+    POST /translate, /feedback    aliases of the two routes above on a
+                                  one-tenant gateway (``repro serve``);
+                                  404 when two or more tenants are hosted
     POST /admin/reload            {} for every tenant or {"tenant": "mas"};
                                   {"force": true} overrides a blocking
                                   shadow-canary verdict (422 otherwise)
 
-Status mapping is uniform with the single-engine endpoint
-(:mod:`repro.serving.http_server`), sharing its error envelope
-(``{"error": ..., "status": ...}``): 400 for malformed bodies or
-unsupported content types, 404 for unknown paths *and* unknown tenants,
-422 for translation failures, 429 when a tenant's admission limit is
+Status mapping is uniform across routes, with one error envelope
+(``{"error": ..., "status": ...}``, :mod:`repro.serving.http_common`):
+400 for malformed bodies or unsupported content types, 404 for unknown
+paths *and* unknown tenants, 422 for translation failures, 429 when a tenant's admission limit is
 exhausted, 503 for a not-yet-ready gateway and for a *configured*
 tenant whose engine is still warming up (retryable, unlike the 404 an
 unknown tenant gets).
@@ -86,6 +89,11 @@ class GatewayHTTPServer(ThreadingHTTPServer):
     ) -> None:
         self.gateway = gateway
         self.quiet = quiet
+        #: The tenant ``POST /translate`` and ``/feedback`` alias: the
+        #: only one a one-tenant gateway hosts, else None (404).
+        self.alias_tenant = (
+            next(iter(gateway.hosts)) if len(gateway.hosts) == 1 else None
+        )
         super().__init__(address, GatewayRequestHandler)
 
 
@@ -147,8 +155,10 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
                         EXPOSITION_CONTENT_TYPE,
                     )
             elif path == "/admin/traces":
-                tenant = query.get("tenant", [None])[0]
-                traces = gateway.traces(tenant=tenant)
+                traces = gateway.traces(
+                    tenant=query.get("tenant", [None])[0],
+                    trace_id=query.get("id", [None])[0],
+                )
                 self._send_json(
                     200, {"count": len(traces), "traces": traces}
                 )
@@ -187,13 +197,16 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
             self._handle_reload()
             return
         match = _TENANT_ROUTE.match(path)
-        if match is None or match.group(2) not in _POST_ONLY:
-            self._send_error_json(404, f"unknown path {path!r}")
-            return
-        if match.group(2) == "feedback":
-            self._handle_feedback(match.group(1))
+        if match is not None:
+            tenant, action = match.groups()
         else:
-            self._handle_translate(match.group(1))
+            tenant, action = self.server.alias_tenant, path[1:]
+        if tenant is None or action not in _POST_ONLY:
+            self._send_error_json(404, f"unknown path {path!r}")
+        elif action == "feedback":
+            self._handle_feedback(tenant)
+        else:
+            self._handle_translate(tenant)
 
     # ------------------------------------------------------------ handlers
 
@@ -235,7 +248,7 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
         return 200, response.to_payload()
 
     def _check_observable(self, host) -> None:
-        """Same learning-availability contract as the single-engine server."""
+        """Refuse ``observe`` when nothing would ever learn from it."""
         engine = host.engine
         if engine.templar is None:
             raise ServingError(
@@ -251,7 +264,8 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
             raise ServingError(
                 f"online learning is disabled for tenant {host.tenant!r}; "
                 f"configure learn_interval_seconds on the gateway or "
-                f"learn_batch_size on the tenant engine"
+                f"learn_batch_size on the tenant engine (repro serve "
+                f"--learn-batch)"
             )
 
     def _handle_feedback(self, tenant: str) -> None:

@@ -2,7 +2,7 @@
 
 PR 6's traces, histograms and counters all live in-process and vanish
 on restart; the journal is the persistent half of the observability
-stack.  Every served translate (single-engine server and gateway alike)
+stack.  Every served translate (in-process engine or gateway server)
 appends one record — tenant, NLQ/keywords, chosen SQL, scores, latency,
 cache hit/miss, error type, artifact version, trace id — and gateway
 hot-reloads append a ``reload`` record.  The files are what

@@ -9,16 +9,13 @@ sit behind traffic:
   graph) and load them back with integrity checks, so startup is a
   deserialize instead of a rebuild.
 * :mod:`repro.serving.service` — :class:`TranslationService`: LRU-cached
-  keyword mapping, join paths and whole translations, deduplicated
-  concurrent ``translate_batch``, and online QFG ingestion of served
-  queries.
+  join paths and whole translations, deduplicated concurrent
+  ``translate_batch``, and online QFG ingestion of served queries.
 * :mod:`repro.serving.cache` / :mod:`repro.serving.telemetry` — the
   thread-safe LRU cache and the latency/QPS/counter registry behind it.
-* :mod:`repro.serving.http_server` — a stdlib-only JSON endpoint
-  (``repro serve`` wires it to a dataset).
 * :mod:`repro.serving.http_common` — request decoding and the uniform
-  error envelope shared with the multi-tenant gateway
-  (:mod:`repro.gateway`).
+  error envelope behind the HTTP surface (:mod:`repro.gateway.http`,
+  which ``repro serve`` runs as a one-tenant gateway).
 """
 
 from repro.serving.artifacts import (
@@ -31,10 +28,8 @@ from repro.serving.artifacts import (
 )
 from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.http_common import error_envelope
-from repro.serving.http_server import ServingHTTPServer, make_server
 from repro.serving.service import (
     CachingJoinPathGenerator,
-    CachingKeywordMapper,
     TranslationService,
     resolve_request_keywords,
     translate_request,
@@ -46,12 +41,10 @@ __all__ = [
     "ArtifactStore",
     "CacheStats",
     "CachingJoinPathGenerator",
-    "CachingKeywordMapper",
     "LRUCache",
     "LatencySummary",
     "MetricsRegistry",
     "ServingArtifacts",
-    "ServingHTTPServer",
     "TranslationRequest",
     "TranslationResponse",
     "TranslationService",
@@ -60,7 +53,6 @@ __all__ = [
     "error_envelope",
     "join_graph_from_dict",
     "join_graph_to_dict",
-    "make_server",
     "percentile",
     "resolve_request_keywords",
     "translate_request",

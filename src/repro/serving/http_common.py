@@ -1,13 +1,12 @@
-"""HTTP plumbing shared by the single-engine and gateway endpoints.
+"""JSON-over-``http.server`` plumbing for the serving HTTP surface.
 
-Both ``repro serve`` (:mod:`repro.serving.http_server`) and the
-multi-tenant gateway (:mod:`repro.gateway.http`) answer JSON over
-``http.server``.  This module keeps their request decoding and error
-shapes identical:
+One server answers HTTP: the gateway (:mod:`repro.gateway.http`), which
+``repro serve`` runs with a single tenant.  This module holds its
+request decoding and error shapes:
 
 * :func:`error_envelope` — the uniform error body every route returns
   (``{"error": <message>, "status": <code>}``), so clients parse one
-  shape regardless of which server or route failed.
+  shape regardless of which route failed.
 * :class:`JSONRequestHandlerMixin` — body reading with a size cap,
   strict ``Content-Length`` handling, a ``Content-Type`` check
   (malformed JSON and unsupported content types are client errors —
@@ -127,15 +126,15 @@ class JSONRequestHandlerMixin(BaseHTTPRequestHandler):
         """Run one route and apply the uniform error -> status mapping.
 
         ``route`` returns ``(status, payload)``; every serving endpoint
-        funnels through here so the mapping cannot drift between the
-        single-engine server and the gateway: 429 admission overflow,
-        409 idempotency-key reuse with a different body, 404 unknown
-        tenant, 400 client mistakes (malformed body, bad fields,
-        unsupported content type), 422 operational failures (prefixed
-        with ``repro_error_prefix``), 500 (JSON, then re-raised) for
-        wiring bugs.  Order matters: ``AdmissionError`` and
-        ``IdempotencyError`` subclass ``ServingError`` and
-        ``GatewayError``/``ServingError`` subclass ``ReproError``.
+        funnels through here so the mapping cannot drift between routes:
+        429 admission overflow, 409 idempotency-key reuse with a
+        different body, 404 unknown tenant, 400 client mistakes
+        (malformed body, bad fields, unsupported content type), 422
+        operational failures (prefixed with ``repro_error_prefix``), 500
+        (JSON, then re-raised) for wiring bugs.  Order matters:
+        ``AdmissionError`` and ``IdempotencyError`` subclass
+        ``ServingError`` and ``GatewayError``/``ServingError`` subclass
+        ``ReproError``.
         """
         try:
             status, payload = route()
@@ -169,11 +168,7 @@ class JSONRequestHandlerMixin(BaseHTTPRequestHandler):
             pass  # client disconnected before reading the response
 
     def _logs_query_params(self, query: dict) -> tuple[str, int]:
-        """Decode ``/admin/logs/query``'s ``?nlq=`` and ``?limit=`` params.
-
-        Shared by the single-engine and gateway servers so the
-        self-analytics route validates identically on both.
-        """
+        """Decode ``/admin/logs/query``'s ``?nlq=`` and ``?limit=`` params."""
         nlq = query.get("nlq", [None])[0]
         if not nlq or not nlq.strip():
             raise ServingError(

@@ -1,11 +1,11 @@
 """Cached, concurrent translation serving on top of an NLIDB.
 
 :class:`TranslationService` wraps a :class:`~repro.nlidb.base.NLIDB`
-(Pipeline/Pipeline+ or NaLIR) with three LRU caches — whole-request
-translations, keyword-mapping configurations and join paths — a
-``translate_batch`` API that deduplicates identical requests and fans the
-rest out over a thread pool, and online ingestion of served queries back
-into the Query Fragment Graph.
+(Pipeline/Pipeline+ or NaLIR) with two LRU caches — whole-request
+translations and join paths — a ``translate_batch`` API that
+deduplicates identical requests and fans the rest out over a thread
+pool, and online ingestion of served queries back into the Query
+Fragment Graph.
 
 Raw NLQs get a first-level entry in the same translate LRU, keyed on
 the exact NLQ string (see :meth:`TranslationService.translate_nlq`), so
@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.core.fragments import fragments_of_sql
-from repro.core.interface import Configuration, Keyword, keywords_cache_key
+from repro.core.interface import Keyword, keywords_cache_key
 from repro.core.join_inference import JoinPath, JoinPathGenerator
 from repro.core.qfg import QueryFragmentGraph
 from repro.core.templar import Templar
@@ -51,43 +51,6 @@ _SLOW_QUERY_LOGGER = logging.getLogger("repro.slowquery")
 #: gated warm path.  NTP slew over a long process lifetime can drift
 #: these stamps by milliseconds — irrelevant at telemetry granularity.
 _EPOCH = time.time() - time.perf_counter()
-
-
-class CachingKeywordMapper:
-    """Drop-in ``map_keywords`` memoizer around a keyword mapper.
-
-    Example::
-
-        >>> from repro.serving.cache import LRUCache
-        >>> class Inner:
-        ...     calls = 0
-        ...     def map_keywords(self, keywords, limit=None):
-        ...         self.calls += 1
-        ...         return list(keywords)
-        >>> mapper = CachingKeywordMapper(Inner(), LRUCache(8, "demo"), lambda: 0)
-        >>> mapper.map_keywords(("papers",)), mapper.map_keywords(("papers",))
-        (['papers'], ['papers'])
-        >>> mapper.inner.calls
-        1
-    """
-
-    def __init__(self, inner, cache: LRUCache, revision_fn) -> None:
-        self.inner = inner
-        self.cache = cache
-        self._revision = revision_fn
-
-    def map_keywords(
-        self, keywords: list[Keyword], limit: int | None = None
-    ) -> list[Configuration]:
-        key = (keywords_cache_key(keywords), self._revision(), limit)
-        return self.cache.get_or_compute(
-            key, lambda: self.inner.map_keywords(keywords, limit=limit)
-        )
-
-    def __getattr__(self, name: str):
-        # Everything besides map_keywords (qfg, params, …) is the inner
-        # mapper's business; delegate so the wrapper stays drop-in.
-        return getattr(self.inner, name)
 
 
 class CachingJoinPathGenerator:
@@ -156,8 +119,7 @@ def take_truncation(
 ) -> int:
     """Consume the mapper's truncation report for one request (0 if none).
 
-    Works through the service's installed stage cache (the wrapper
-    delegates to the real mapper); systems without a ``_mapper`` report 0.
+    Systems without a ``_mapper`` report 0.
     """
     mapper = getattr(service.nlidb, "_mapper", None)
     take = getattr(mapper, "take_truncation", None)
@@ -495,9 +457,8 @@ class TranslationService:
         )
 
         self._translate_cache = LRUCache(cache_size, "translate")
-        self._mapping_cache = LRUCache(cache_size, "keyword_mapping")
         self._join_cache = LRUCache(cache_size, "join_paths")
-        self._install_stage_caches()
+        self._install_join_cache()
 
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
@@ -518,27 +479,19 @@ class TranslationService:
         if mapper is not None and getattr(mapper, "use_index", False):
             mapper.index
 
-    def _install_stage_caches(self) -> None:
-        """Memoize the NLIDB's mapper and join generator in place.
+    def _install_join_cache(self) -> None:
+        """Memoize the NLIDB's join generator in place.
 
-        Pipeline and NaLIR both keep their stages in ``_mapper`` /
-        ``_joins``; systems without those attributes still get the
-        whole-request cache.
+        Pipeline and NaLIR both keep it in ``_joins``; systems without
+        one still get the whole-request cache.
         """
-        mapper = getattr(self.nlidb, "_mapper", None)
         joins = getattr(self.nlidb, "_joins", None)
-        if isinstance(mapper, CachingKeywordMapper) or isinstance(
-            joins, CachingJoinPathGenerator
-        ):
-            # A second service would leave the first one's caches (and its
+        if isinstance(joins, CachingJoinPathGenerator):
+            # A second service would leave the first one's cache (and its
             # revision source) silently in charge.
             raise ServingError(
                 "this NLIDB is already wrapped by a TranslationService; "
                 "one service per NLIDB instance"
-            )
-        if mapper is not None:
-            self.nlidb._mapper = CachingKeywordMapper(
-                mapper, self._mapping_cache, self._qfg_revision
             )
         if joins is not None:
             self.nlidb._joins = CachingJoinPathGenerator(
@@ -875,11 +828,7 @@ class TranslationService:
             "system": getattr(self.nlidb, "name", "nlidb"),
             "caches": [
                 cache.stats().as_dict()
-                for cache in (
-                    self._translate_cache,
-                    self._mapping_cache,
-                    self._join_cache,
-                )
+                for cache in (self._translate_cache, self._join_cache)
             ],
             "qfg": (
                 {
@@ -912,7 +861,7 @@ class TranslationService:
         }
 
     def clear_caches(self) -> None:
-        for cache in (self._translate_cache, self._mapping_cache, self._join_cache):
+        for cache in (self._translate_cache, self._join_cache):
             cache.clear()
 
     def close(self) -> None:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import pytest
 
+from repro.api import EngineConfig
 from repro.core import QueryLog, Templar
 from repro.db import Catalog, Column, ColumnType, Database, ForeignKey, TableSchema
 from repro.embedding import CompositeModel, Lexicon
@@ -156,3 +160,40 @@ def imdb_dataset():
     from repro.datasets import load_dataset
 
     return load_dataset("imdb")
+
+
+# Live HTTP servers: `repro serve` is a one-tenant gateway.
+
+
+def one_tenant_config(engine: EngineConfig | None = None, **gateway_fields):
+    """The gateway `repro serve` builds: the dataset name is the tenant."""
+    from repro.gateway import GatewayConfig, TenantConfig
+
+    engine = engine or EngineConfig(dataset="mas")
+    return GatewayConfig(
+        tenants={engine.dataset: TenantConfig(engine=engine)},
+        **gateway_fields,
+    )
+
+
+@contextmanager
+def serve_gateway(config, *, engine_factories=None):
+    """A started gateway listening on an ephemeral port; yields its server.
+
+    ``server.gateway`` is the gateway, ``server.server_address[1]`` the
+    port.  Shutdown closes the listener, then the gateway.
+    """
+    from repro.gateway import Gateway, make_gateway_server
+
+    gateway = Gateway.from_config(config, engine_factories=engine_factories)
+    server = make_gateway_server(gateway, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        gateway.start()
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(10.0)
+        gateway.close()

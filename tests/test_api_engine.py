@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -16,10 +14,15 @@ from repro.datasets.base import BenchmarkDataset
 from repro.embedding import CompositeModel
 from repro.errors import ConfigError, ReproError, ServingError
 from repro.nlidb import PipelineNLIDB
-from repro.serving import make_server
 from repro.serving.wire import keyword_from_dict
 
-from tests.conftest import build_mini_db, build_mini_lexicon, build_mini_log
+from tests.conftest import (
+    build_mini_db,
+    build_mini_lexicon,
+    build_mini_log,
+    one_tenant_config,
+    serve_gateway,
+)
 
 
 def mini_dataset() -> BenchmarkDataset:
@@ -348,11 +351,14 @@ class TestStrictWireCodec:
 
 class TestHTTPFromEngine:
     def test_server_built_from_engine(self):
-        engine = mini_engine()
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        # `repro serve`'s shape with an engine the dataset registry does
+        # not know: the factory supplies it, /translate aliases it.
+        config = one_tenant_config(EngineConfig(
+            dataset="mini", backend="pipeline+", log_source="none"
+        ))
+        with serve_gateway(
+            config, engine_factories={"mini": mini_engine}
+        ) as server:
             port = server.server_address[1]
             body = json.dumps(
                 {"nlq": "return the papers after 2000", "limit": 1}
@@ -365,24 +371,12 @@ class TestHTTPFromEngine:
                 payload = json.loads(response.read())
             assert payload["count"] >= 1
             assert payload["provenance"]["backend"] == "Pipeline+"
+            assert payload["provenance"]["tenant"] == "mini"
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/stats"
+                f"http://127.0.0.1:{port}/t/mini/stats"
             ) as response:
                 stats = json.loads(response.read())
-            assert stats["engine"]["dataset"] == "mini"
-        finally:
-            server.shutdown()
-            engine.close()
-
-    def test_engine_and_service_are_mutually_exclusive(self):
-        engine = mini_engine()
-        try:
-            with pytest.raises(ServingError, match="not both"):
-                make_server(engine.service, engine=engine, port=0)
-            with pytest.raises(ServingError, match="needs a service"):
-                make_server(port=0)
-        finally:
-            engine.close()
+            assert stats["engine"]["engine"]["dataset"] == "mini"
 
 
 class TestCLIEntryPoint:
@@ -394,19 +388,6 @@ class TestCLIEntryPoint:
             main(["--version"])
         assert exc_info.value.code == 0
         assert __version__ in capsys.readouterr().out
-
-    def test_build_service_shim_warns(self, tmp_path):
-        from repro.cli import _build_service
-
-        args = argparse.Namespace(
-            dataset="mas", artifacts=None, version=None, cache_size=64,
-            workers=1, learn_batch=None,
-        )
-        with pytest.warns(DeprecationWarning, match="Engine.from_config"):
-            service, parser = _build_service(args)
-        assert service.nlidb.name == "Pipeline+"
-        assert parser is not None
-        service.close()
 
     def test_repro_error_exits_2_uniformly(self, tmp_path, capsys):
         from repro.cli import main

@@ -10,7 +10,7 @@ from repro.embedding import CompositeModel, LexiconModel
 from repro.errors import ReproError
 from repro.eval import EvalConfig, evaluate_system
 from repro.eval.folds import split_folds, train_test_split
-from repro.eval.harness import SYSTEM_NAMES, _build_system
+from repro.eval.harness import SYSTEM_NAMES
 from repro.nlidb import NalirNLIDB, NalirParser, PipelineNLIDB
 from repro.nlidb.registry import (
     backend_names,
@@ -208,15 +208,6 @@ class TestEvalParity:
 
 
 class TestDeprecatedShim:
-    def test_build_system_warns_and_still_works(self, mas_dataset):
-        log = QueryLog(
-            [item.gold_sql for item in mas_dataset.usable_items()[:10]]
-        )
-        with pytest.warns(DeprecationWarning, match="Engine.from_config"):
-            system = _build_system("Pipeline+", mas_dataset, log, EvalConfig())
-        assert isinstance(system, PipelineNLIDB)
-        assert system.name == "Pipeline+"
-
     def test_evaluate_system_does_not_warn(self, yelp_dataset, recwarn):
         import warnings
 

@@ -18,10 +18,10 @@ import urllib.request
 
 import pytest
 
+from conftest import one_tenant_config, serve_gateway
 from repro.api import Engine, EngineConfig
 from repro.errors import ConfigError, IdempotencyError
 from repro.gateway import Gateway, GatewayConfig, make_gateway_server
-from repro.serving import make_server
 
 NLQ = "return the papers after 2000"
 
@@ -345,19 +345,16 @@ class TestObservability:
 
 
 class TestSingleEngineHTTP:
+    """``repro serve``: a one-tenant gateway, driven through its aliases."""
+
     @pytest.fixture()
     def server_port(self, tmp_path):
-        engine = Engine.from_config(
-            _config(tmp_path, journal_dir=str(tmp_path / "journal"))
+        config = one_tenant_config(
+            journal_dir=str(tmp_path / "journal"),
+            control_plane_path=str(tmp_path / "cp.db"),
         )
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve_gateway(config) as server:
             yield server.server_address[1]
-        finally:
-            server.shutdown()
-            engine.close()
 
     def test_feedback_endpoint_round_trip(self, server_port):
         status, body = _post(server_port, "/translate", {"nlq": NLQ})
@@ -393,21 +390,14 @@ class TestSingleEngineHTTP:
         )
         assert status == 400
 
-    def test_feedback_without_plane_is_400(self, tmp_path):
-        engine = Engine.from_config(EngineConfig(dataset="mas"))
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def test_feedback_without_plane_is_400(self):
+        with serve_gateway(one_tenant_config()) as server:
             status, body = _post(
                 server.server_address[1], "/feedback",
                 {"verdict": "reject", "sql": "x"},
             )
-            assert status == 400
-            assert "control plane" in body["error"]
-        finally:
-            server.shutdown()
-            engine.close()
+        assert status == 400
+        assert "control plane" in body["error"]
 
 
 class TestGatewayHTTP:

@@ -115,6 +115,15 @@ class TestRouting:
         assert _post(port, "/t/mas/nope", {})[0] == 404
         assert _post(port, "/t/mas", {})[0] == 404
 
+    def test_tenant_aliases_are_404_with_several_tenants(self, gateway_port):
+        # /translate and /feedback alias the tenant of a one-tenant
+        # gateway only; with three, no tenant is implied.
+        _, port = gateway_port
+        status, body = _post(port, "/translate", {"nlq": NLQS["mas"]})
+        assert (status, body["status"]) == (404, 404)
+        status, _ = _post(port, "/feedback", {"verdict": "reject", "sql": "x"})
+        assert status == 404
+
 
 class TestHealthAndStats:
     def test_healthz_and_readyz(self, gateway_port):
@@ -208,6 +217,21 @@ class TestHealthAndStats:
         assert status == 200
         assert everything["count"] >= payload["count"]
         assert _get(port, "/admin/traces?tenant=enron")[0] == 404
+
+    def test_admin_traces_looks_up_one_trace_id(self, gateway_port):
+        _, port = gateway_port
+        status, body = _post(
+            port, "/t/yelp/translate", {"nlq": "return the users"}
+        )
+        assert status == 200
+        trace_id = body["provenance"]["trace_id"]
+        status, payload = _get(port, f"/admin/traces?id={trace_id}")
+        assert status == 200
+        assert [(t["trace_id"], t["tenant"]) for t in payload["traces"]] == [
+            (trace_id, "yelp")
+        ]
+        status, other = _get(port, f"/admin/traces?tenant=mas&id={trace_id}")
+        assert (status, other) == (200, {"count": 0, "traces": []})
 
     def test_observe_queues_for_the_scheduler(self, gateway_port):
         gateway, port = gateway_port

@@ -1,10 +1,12 @@
-"""Wire-level behaviour shared by ``repro serve`` and the gateway.
+"""Wire-level behaviour of the HTTP surface.
 
-Both servers answer through :class:`JSONRequestHandlerMixin`, which sets
-TCP_NODELAY and sends each response as one write.  These tests drive a
-live server of each kind with raw ``http.client`` and socket clients:
-warm keep-alive latency, ``Expect: 100-continue``, the 500 envelope and
-a large ``/metrics`` page.
+``repro serve`` and ``repro gateway`` both answer through the gateway's
+handler and :class:`JSONRequestHandlerMixin`, which sets TCP_NODELAY and
+sends each response as one write.  These tests drive a live server with
+raw ``http.client`` and socket clients — through the ``/translate``
+alias of a one-tenant gateway (``serve``) and through the tenant route
+(``gateway``): warm keep-alive latency, ``Expect: 100-continue``, the
+500 envelope and a large ``/metrics`` page.
 """
 
 from __future__ import annotations
@@ -13,60 +15,33 @@ import http.client
 import json
 import socket
 import statistics
-import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from repro.api import Engine, EngineConfig
-from repro.gateway import Gateway, GatewayConfig, make_gateway_server
+from conftest import one_tenant_config, serve_gateway
+from repro.api import EngineConfig
 from repro.gateway.http import GatewayRequestHandler
 from repro.obs.prometheus import parse_exposition
-from repro.serving import make_server
-from repro.serving.http_server import ServingRequestHandler
 
 NLQ = "return the businesses in Dallas"
 
+#: The translate route each server kind is driven through.
+_PATHS = {"serve": "/translate", "gateway": "/t/yelp/translate"}
 
-def _serve(server) -> None:
-    threading.Thread(target=server.serve_forever, daemon=True).start()
 
-
-@pytest.fixture(scope="module", params=["serve", "gateway"])
+@pytest.fixture(scope="module", params=list(_PATHS))
 def wire(request):
     """A live yelp server of either kind, plus the hooks the tests need."""
-    if request.param == "serve":
-        engine = Engine.from_config(EngineConfig(dataset="yelp"))
-        server = make_server(engine=engine, port=0)
-        _serve(server)
+    config = one_tenant_config(EngineConfig(dataset="yelp"))
+    with serve_gateway(config) as server:
         yield SimpleNamespace(
             port=server.server_address[1],
-            path="/translate",
-            translator=server,
-            metrics=engine.service.metrics,
+            path=_PATHS[request.param],
+            translator=server.gateway,
+            metrics=server.gateway.metrics,
         )
-        server.shutdown()
-        server.server_close()
-        engine.close()
-    else:
-        gateway = Gateway.from_config(
-            GatewayConfig.from_dict(
-                {"tenants": {"yelp": {"engine": {"dataset": "yelp"}}}}
-            )
-        )
-        server = make_gateway_server(gateway, port=0)
-        _serve(server)
-        gateway.start()
-        yield SimpleNamespace(
-            port=server.server_address[1],
-            path="/t/yelp/translate",
-            translator=gateway,
-            metrics=gateway.metrics,
-        )
-        server.shutdown()
-        server.server_close()
-        gateway.close()
 
 
 def _translate(conn: http.client.HTTPConnection, path: str, payload: dict):
@@ -177,9 +152,7 @@ class _RecordingFile:
         pass
 
 
-@pytest.mark.parametrize(
-    "handler_class", [ServingRequestHandler, GatewayRequestHandler]
-)
+@pytest.mark.parametrize("handler_class", [GatewayRequestHandler])
 class TestOneWritePerResponse:
     def _handler(self, handler_class):
         # A handler without a socket: just what send_response() reads.

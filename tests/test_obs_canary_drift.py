@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-import threading
 import types
 import urllib.request
 
 import pytest
 
+from conftest import one_tenant_config, serve_gateway
 from repro.obs.canary import CanaryReport, run_canary, tail_requests
 from repro.obs.drift import (
     DriftMonitor,
@@ -285,28 +285,17 @@ class TestTailRequests:
 
 
 @pytest.fixture()
-def slo_server(mini_db, mini_model, mini_log, tmp_path):
-    from repro.core import Templar
-    from repro.nlidb import PipelineNLIDB
-    from repro.serving import TranslationService, make_server
+def slo_server(tmp_path):
+    from repro.api import EngineConfig
 
-    templar = Templar(mini_db, mini_model, mini_log)
-    nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-    journal = RequestJournal(tmp_path / "journal", flush_interval=3600.0)
-    service = TranslationService(
-        nlidb, max_workers=2, journal=journal,
+    engine = EngineConfig(
+        dataset="mas",
         slo=SLOPolicy(latency_p99_ms=5000.0, error_rate=0.5),
         drift_threshold=0.3,
     )
-    http_server = make_server(service, port=0)
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    config = one_tenant_config(engine, journal_dir=str(tmp_path / "journal"))
+    with serve_gateway(config) as http_server:
         yield http_server
-    finally:
-        http_server.shutdown()
-        service.close()
-        journal.close()
 
 
 def _get(server, path):
@@ -319,7 +308,9 @@ class TestSLOEndpoint:
     def test_slo_reports_the_configured_objectives(self, slo_server):
         status, content_type, body = _get(slo_server, "/slo")
         assert status == 200 and content_type.startswith("application/json")
-        report = json.loads(body)
+        payload = json.loads(body)
+        assert payload["alerting"] is False
+        report = payload["tenants"]["mas"]
         assert report["configured"] is True
         names = {o["objective"] for o in report["objectives"]}
         assert names == {"latency_p99_ms", "error_rate"}

@@ -9,34 +9,20 @@ the trace a translate response advertised in its provenance.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from conftest import one_tenant_config, serve_gateway
 from repro.api import Engine, EngineConfig
-from repro.core import Templar
-from repro.nlidb import NalirParser, PipelineNLIDB
 from repro.obs.prometheus import parse_exposition
-from repro.serving import TranslationService, make_server
 
 
 @pytest.fixture()
-def engine_server(mini_db, mini_model, mini_log):
-    templar = Templar(mini_db, mini_model, mini_log)
-    nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-    service = TranslationService(nlidb, max_workers=2)
-    parser = NalirParser(mini_db, ["papers", "journals", "authors"],
-                         simulate_failures=False)
-    http_server = make_server(service, port=0, parser=parser)
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-    thread.start()
-    try:
+def engine_server():
+    with serve_gateway(one_tenant_config()) as http_server:
         yield http_server
-    finally:
-        http_server.shutdown()
-        service.close()
 
 
 def _get_raw(server, path: str):
@@ -77,7 +63,8 @@ class TestMetricsScrape:
         _post(engine_server, "/translate", PAYLOAD)
         _, _, page = _get_raw(engine_server, "/metrics")
         samples = parse_exposition(page)
-        [(_, requests)] = samples["repro_requests_total"]
+        [(labels, requests)] = samples["repro_requests_total"]
+        assert labels == {"tenant": "mas"}
         assert requests >= 2
         counts = samples["repro_translate_latency_seconds_count"]
         assert counts[0][1] >= 2
@@ -93,38 +80,34 @@ class TestMetricsScrape:
         assert content_type.startswith("application/json")
         assert "uptime_seconds" in json.loads(body)
 
-    def test_failed_translations_counted_by_error_type(
-        self, mini_db, mini_model, mini_log
-    ):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        service = TranslationService(nlidb, max_workers=1)
+    def test_failed_translations_counted_by_error_type(self):
+        def broken_engine():
+            engine = Engine.from_config(EngineConfig(dataset="mas"))
 
-        def explode(keywords):
-            raise RuntimeError("wiring bug")
+            def explode(keywords):
+                raise RuntimeError("wiring bug")
 
-        nlidb.translate = explode
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-        thread.start()
-        try:
+            engine.nlidb.translate = explode
+            return engine
+
+        with serve_gateway(
+            one_tenant_config(), engine_factories={"mas": broken_engine}
+        ) as http_server:
             status, _ = _post(
                 http_server, "/translate",
                 {"keywords": [{"text": "papers", "context": "SELECT"}]},
             )
             assert status == 500
+            service = http_server.gateway.host("mas").engine.service
             assert service.metrics.counter(
                 "translate_errors", labels={"type": "RuntimeError"}
             ) == 1
             _, _, page = _get_raw(http_server, "/metrics")
-            [(labels, value)] = parse_exposition(page)[
-                "repro_translate_errors_total"
-            ]
-            assert labels == {"type": "RuntimeError"}
-            assert value == 1.0
-        finally:
-            http_server.shutdown()
-            service.close()
+        [(labels, value)] = parse_exposition(page)[
+            "repro_translate_errors_total"
+        ]
+        assert labels == {"tenant": "mas", "type": "RuntimeError"}
+        assert value == 1.0
 
 
 class TestAdminTraces:
@@ -142,6 +125,8 @@ class TestAdminTraces:
         assert trace["spans"]["name"] == "request"
         stage_names = [span["name"] for span in trace["spans"]["children"]]
         assert "translate" in stage_names
+
+        assert trace["tenant"] == "mas"
 
         status, _, raw = _get_raw(engine_server, "/admin/traces")
         listed = json.loads(raw)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_tenant_config, serve_gateway
+from repro.api import EngineConfig
 from repro.cli import main as cli_main
 from repro.errors import ConfigError
 from repro.obs.journal import RequestJournal
@@ -360,3 +362,18 @@ class TestSLOCli:
     def test_unreachable_url_exits_two(self, capsys):
         assert cli_main(["slo", "--url", "http://127.0.0.1:9"]) == 2
         assert "could not fetch" in capsys.readouterr().err
+
+    def test_url_reads_a_repro_serve_gateway(self, capsys):
+        # `repro serve` answers /slo with per-tenant reports like any
+        # gateway; its one tenant is the dataset.
+        engine = EngineConfig(
+            dataset="mas", slo=SLOPolicy(error_rate=0.5)
+        )
+        with serve_gateway(one_tenant_config(engine)) as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            code = cli_main(["slo", "--url", url])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "status: healthy" in out
+        [row] = [line for line in out.splitlines() if "error_rate" in line]
+        assert row.split()[0] == "mas"

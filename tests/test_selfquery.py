@@ -6,13 +6,13 @@ import datetime
 import json
 import subprocess
 import sys
-import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+from conftest import one_tenant_config, serve_gateway
 from repro.api import Engine, EngineConfig
 from repro.core.log import QueryLog
 from repro.errors import JournalError, ReproError
@@ -220,20 +220,9 @@ def _get(port: int, path: str):
 class TestHTTPSelfQuery:
     @pytest.fixture()
     def journaled_server(self, tmp_path):
-        from repro.serving import make_server
-
-        engine = Engine.from_config(
-            EngineConfig(dataset="mas", journal_dir=str(tmp_path / "j"))
-        )
-        server = make_server(engine=engine, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield engine, server.server_address[1]
-        finally:
-            server.shutdown()
-            server.server_close()
-            engine.close()
+        config = one_tenant_config(journal_dir=str(tmp_path / "j"))
+        with serve_gateway(config) as server:
+            yield server.gateway.host("mas").engine, server.server_address[1]
 
     def test_admin_logs_query_round_trip(self, journaled_server):
         engine, port = journaled_server
@@ -274,21 +263,12 @@ class TestHTTPSelfQuery:
         assert "nlq" in body["error"]
 
     def test_unjournaled_server_is_400(self):
-        from repro.serving import make_server
-
-        engine = Engine.from_config(EngineConfig(dataset="mas"))
-        server = make_server(engine=engine, port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status, body = _get(port, "/admin/logs/query?nlq=x")
-            assert status == 400
-            assert "journal" in body["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            engine.close()
+        with serve_gateway(one_tenant_config()) as server:
+            status, body = _get(
+                server.server_address[1], "/admin/logs/query?nlq=x"
+            )
+        assert status == 400
+        assert "journal" in body["error"]
 
     def test_empty_journal_is_422(self, journaled_server):
         _, port = journaled_server

@@ -1,19 +1,22 @@
-"""HTTP endpoint and wire-format tests (stdlib client against a live server)."""
+"""HTTP endpoint and wire-format tests (stdlib client against a live server).
+
+The server is what ``repro serve`` runs: a one-tenant gateway, driven
+through the ``/translate`` alias of its only tenant.
+"""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core import Keyword, KeywordMetadata, Templar
+from conftest import one_tenant_config, serve_gateway
+from repro.api import Engine, EngineConfig
+from repro.core import Keyword, KeywordMetadata
 from repro.core.fragments import FragmentContext
 from repro.errors import ServingError
-from repro.nlidb import NalirParser, PipelineNLIDB
-from repro.serving import TranslationService, make_server
 from repro.serving.wire import keyword_from_dict, keyword_to_dict
 
 
@@ -58,22 +61,12 @@ class TestWireFormat:
 
 
 @pytest.fixture()
-def server(mini_db, mini_model, mini_log):
-    templar = Templar(mini_db, mini_model, mini_log)
-    nlidb = PipelineNLIDB(mini_db, mini_model, templar)
+def server():
     # learn_batch_size above the test traffic volume: 'observe' is
     # accepted and queues without auto-draining mid-test.
-    service = TranslationService(nlidb, max_workers=2, learn_batch_size=64)
-    parser = NalirParser(mini_db, ["papers", "journals", "authors"],
-                         simulate_failures=False)
-    http_server = make_server(service, port=0, parser=parser)
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    config = one_tenant_config(EngineConfig(dataset="mas", learn_batch_size=64))
+    with serve_gateway(config) as http_server:
         yield http_server
-    finally:
-        http_server.shutdown()
-        service.close()
 
 
 def _get(server, path: str):
@@ -109,7 +102,9 @@ class TestEndpoints:
         status, body = _get(server, "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["system"] == "Pipeline+"
+        assert body["tenants"] == 1
+        status, stats = _get(server, "/t/mas/stats")
+        assert stats["engine"]["system"] == "Pipeline+"
 
     def test_translate_keywords(self, server):
         status, body = _post(server, "/translate", KEYWORD_PAYLOAD)
@@ -138,21 +133,22 @@ class TestEndpoints:
         _post(server, "/translate", KEYWORD_PAYLOAD)
         status, stats = _get(server, "/stats")
         assert status == 200
-        assert stats["metrics"]["counters"]["requests"] >= 2
+        engine_stats = stats["tenants"]["mas"]["engine"]
+        assert engine_stats["metrics"]["counters"]["requests"] >= 2
         translate_cache = next(
-            c for c in stats["caches"] if c["name"] == "translate"
+            c for c in engine_stats["caches"] if c["name"] == "translate"
         )
         assert translate_cache["hits"] >= 1
 
         status, metrics = _get(server, "/metrics?format=json")
         assert status == 200
-        assert metrics["latencies"]["translate"]["count"] >= 2
+        assert metrics["latencies"]["gateway_translate"]["count"] >= 2
 
     def test_observe_flag_queues_learning(self, server):
         payload = dict(KEYWORD_PAYLOAD, observe=True)
         status, _ = _post(server, "/translate", payload)
         assert status == 200
-        assert server.service.pending_observations == 1
+        assert server.gateway.pending_observations() == 1
 
     def test_unsupported_content_type_is_400(self, server):
         port = server.server_address[1]
@@ -218,24 +214,13 @@ class TestEndpoints:
         status, body = _post(server, "/translate", payload)
         assert status == 400
 
-    def test_observe_without_drain_schedule_is_400(
-        self, mini_db, mini_model, mini_log
-    ):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        service = TranslationService(nlidb, max_workers=1)  # no learn batch
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def test_observe_without_drain_schedule_is_400(self):
+        with serve_gateway(one_tenant_config()) as http_server:  # no batch
             status, body = _post(
                 http_server, "/translate", dict(KEYWORD_PAYLOAD, observe=True)
             )
-            assert status == 400
-            assert "--learn-batch" in body["error"]
-        finally:
-            http_server.shutdown()
-            service.close()
+        assert status == 400
+        assert "--learn-batch" in body["error"]
 
     def test_non_boolean_observe_is_400(self, server):
         status, body = _post(
@@ -271,47 +256,34 @@ class TestEndpoints:
         finally:
             connection.close()
 
-    def test_observe_without_templar_is_400_not_dropped(
-        self, mini_db, mini_model
-    ):
-        nlidb = PipelineNLIDB(mini_db, mini_model, None)
-        service = TranslationService(nlidb, max_workers=1)
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(
-            target=http_server.serve_forever, daemon=True
+    def test_observe_without_templar_is_400_not_dropped(self):
+        config = one_tenant_config(
+            EngineConfig(dataset="mas", backend="pipeline")
         )
-        thread.start()
-        try:
+        with serve_gateway(config) as http_server:
             status, body = _post(
                 http_server, "/translate", dict(KEYWORD_PAYLOAD, observe=True)
             )
-            assert status == 400
-            assert "Templar" in body["error"]
-        finally:
-            http_server.shutdown()
-            service.close()
+            assert http_server.gateway.pending_observations() == 0
+        assert status == 400
+        assert "Templar" in body["error"]
 
-    def test_unexpected_exception_is_500_json(
-        self, mini_db, mini_model, mini_log
-    ):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        service = TranslationService(nlidb, max_workers=1)
+    def test_unexpected_exception_is_500_json(self):
+        def broken_engine():
+            engine = Engine.from_config(EngineConfig(dataset="mas"))
 
-        def explode(keywords):
-            raise RuntimeError("wiring bug")
+            def explode(keywords):
+                raise RuntimeError("wiring bug")
 
-        nlidb.translate = explode
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
-        thread.start()
-        try:
+            engine.nlidb.translate = explode
+            return engine
+
+        with serve_gateway(
+            one_tenant_config(), engine_factories={"mas": broken_engine}
+        ) as http_server:
             status, body = _post(http_server, "/translate", KEYWORD_PAYLOAD)
-            assert status == 500
-            assert "RuntimeError" in body["error"]
-        finally:
-            http_server.shutdown()
-            service.close()
+        assert status == 500
+        assert "RuntimeError" in body["error"]
 
     def test_unknown_path_is_404(self, server):
         status, body = _post(server, "/nope", {})
@@ -319,3 +291,16 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             _get(server, "/also-nope")
         assert exc_info.value.code == 404
+
+
+class TestTenantAlias:
+    def test_alias_answers_like_the_tenant_route(self, server):
+        for payload in (KEYWORD_PAYLOAD, {"nlq": "return the papers after 2000"}):
+            _, via_alias = _post(server, "/translate", payload)
+            _, via_tenant = _post(server, "/t/mas/translate", payload)
+            for body in (via_alias, via_tenant):
+                del body["timings_ms"]
+                body["provenance"].pop("trace_id", None)
+            assert via_alias == via_tenant
+            assert via_alias["provenance"]["tenant"] == "mas"
+

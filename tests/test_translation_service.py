@@ -237,7 +237,7 @@ class TestServiceStats:
         stats = service.stats()
         assert stats["system"] == "Pipeline+"
         assert {c["name"] for c in stats["caches"]} == {
-            "translate", "keyword_mapping", "join_paths"
+            "translate", "join_paths"
         }
         assert stats["qfg"]["total_queries"] > 0
         assert stats["metrics"]["counters"]["requests"] == 1
