@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -70,7 +71,6 @@ class EngineConfig:
 
     # Serving knobs.
     cache_size: int = 2048
-    max_workers: int = 4
     learn_batch_size: int | None = None
 
     # Observability knobs: request tracing (tail-sampled span trees,
@@ -158,8 +158,6 @@ class EngineConfig:
                 f"cache_size must be >= 0 (0 disables caching), "
                 f"got {self.cache_size}"
             )
-        if self.max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.trace_keep < 1:
             raise ConfigError(f"trace_keep must be >= 1, got {self.trace_keep}")
         if self.slow_query_ms is not None and self.slow_query_ms <= 0:
@@ -234,15 +232,27 @@ class EngineConfig:
     def from_dict(cls, data: dict) -> "EngineConfig":
         """Strict decode: unknown keys raise :class:`ConfigError`.
 
+        ``max_workers`` (the retired translation thread-pool width) is
+        dropped with a :class:`DeprecationWarning` so saved configs load.
+
         >>> EngineConfig.from_dict({"dataset": "mas", "capa": 5})
         Traceback (most recent call last):
             ...
-        repro.errors.ConfigError: unknown engine config field(s): capa; allowed: artifact_version, artifacts, backend, cache_size, control_plane_cache, control_plane_feedback, control_plane_idempotency, control_plane_path, dataset, drift_threshold, idempotency_ttl_seconds, journal_dir, journal_segment_bytes, journal_segments, kappa, lam, learn_batch_size, log_path, log_source, max_configurations, max_workers, obscurity, simulate_parse_failures, slo, slow_query_ms, trace_keep, tracing, use_log_joins, use_log_keywords
+        repro.errors.ConfigError: unknown engine config field(s): capa; allowed: artifact_version, artifacts, backend, cache_size, control_plane_cache, control_plane_feedback, control_plane_idempotency, control_plane_path, dataset, drift_threshold, idempotency_ttl_seconds, journal_dir, journal_segment_bytes, journal_segments, kappa, lam, learn_batch_size, log_path, log_source, max_configurations, obscurity, simulate_parse_failures, slo, slow_query_ms, trace_keep, tracing, use_log_joins, use_log_keywords
         """
         if not isinstance(data, dict):
             raise ConfigError(
                 f"engine config must be an object, got {type(data).__name__}"
             )
+        if "max_workers" in data:
+            warnings.warn(
+                "engine config field 'max_workers' is ignored (translation "
+                "runs on the calling thread) and will be rejected in the "
+                "next version",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {k: v for k, v in data.items() if k != "max_workers"}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

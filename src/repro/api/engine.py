@@ -10,7 +10,7 @@ examples.  An :class:`Engine` resolves an
 * a query log — rebuilt from gold SQL, streamed from a log file, loaded
   from a published artifact version, or empty,
 * a registered NLIDB backend (:mod:`repro.nlidb.registry`),
-* a cached, concurrent :class:`~repro.serving.TranslationService`,
+* a cached, thread-safe :class:`~repro.serving.TranslationService`,
 * a best-effort NLQ parser for raw-string requests,
 
 and then answers :class:`~repro.serving.wire.TranslationRequest`\\ s —
@@ -34,14 +34,13 @@ The candidate-retrieval index of the keyword mapper
 from __future__ import annotations
 
 import hashlib
-import time
 from pathlib import Path
 from typing import Sequence
 
 from repro.api.config import EngineConfig
 from repro.core.candidate_index import CandidateIndex
 from repro.core.explain import ConfigurationExplanation, explain_configuration
-from repro.core.interface import Keyword, keywords_cache_key
+from repro.core.interface import Keyword
 from repro.core.log import QueryLog
 from repro.core.templar import Templar
 from repro.datasets.base import BenchmarkDataset
@@ -55,7 +54,6 @@ from repro.obs.trace import Tracer
 from repro.serving.service import (
     TranslationService,
     resolve_request_keywords,
-    take_truncation,
     translate_request,
 )
 from repro.serving.wire import TranslationRequest, TranslationResponse
@@ -280,7 +278,6 @@ class Engine:
             nlidb,
             templar=templar,
             cache_size=config.cache_size,
-            max_workers=config.max_workers,
             learn_batch_size=config.learn_batch_size,
             tracer=Tracer(
                 enabled=config.tracing, keep_slowest=config.trace_keep
@@ -369,11 +366,13 @@ class Engine:
         self,
         requests: Sequence[TranslationRequest | str | Sequence[Keyword] | dict],
     ) -> list[TranslationResponse]:
-        """Translate many requests at once, deduplicated and fanned out.
+        """Translate many requests, in input order: a loop over ``translate``.
 
-        NLQ requests are parsed up front, then the whole batch goes
-        through the service's deduplicating thread-pool path; responses
-        come back in input order.
+        Every request's ``observe`` is checked before any is translated,
+        so an unservable batch fails without doing work.  Each response
+        then goes through the single-request lifecycle (journal, control
+        plane, tracing, per-request timings); duplicates in a batch are
+        served by the translate cache.
 
         >>> from repro.api import Engine, EngineConfig
         >>> with Engine.from_config(EngineConfig(dataset="mas")) as engine:
@@ -385,57 +384,7 @@ class Engine:
         normalized = [TranslationRequest.of(request) for request in requests]
         for request in normalized:
             self._check_observable(request)
-        started = time.perf_counter()
-        keyword_lists: list[tuple[Keyword, ...]] = []
-        parse_ms: list[float] = []
-        for request in normalized:
-            keywords, elapsed = self._resolve_keywords(request)
-            keyword_lists.append(keywords)
-            parse_ms.append(elapsed)
-        batches = self.service.translate_batch(keyword_lists)
-        batch_ms = (time.perf_counter() - started) * 1000.0
-        responses = []
-        # Truncation reports are keyed per request; consume them once per
-        # unique keyword list so duplicates in the batch (computed once)
-        # all surface the same drop count.
-        truncated: dict[tuple, int] = {}
-        for keywords in keyword_lists:
-            key = keywords_cache_key(keywords)
-            if key not in truncated:
-                truncated[key] = take_truncation(self.service, keywords)
-        for request, keywords, results, parsed in zip(
-            normalized, keyword_lists, batches, parse_ms
-        ):
-            provenance = self.provenance()
-            dropped = truncated[keywords_cache_key(keywords)]
-            if dropped:
-                provenance["configurations_truncated"] = dropped
-            # Requests in a batch are translated concurrently and
-            # deduplicated, so no honest per-request translate time
-            # exists; "translate"/"total" carry the shared batch
-            # wall-clock (keeping the TranslationResponse key contract)
-            # and "batch_size" marks them as batch-level numbers.
-            responses.append(TranslationResponse(
-                request=request,
-                results=results,
-                keywords=keywords,
-                provenance=provenance,
-                timings_ms={
-                    "parse": parsed,
-                    "translate": batch_ms,
-                    "total": batch_ms,
-                    "batch_size": len(normalized),
-                },
-            ))
-        for response in responses:
-            if response.request.observe and response.results:
-                self.observe(response.results[0].sql)
-        return responses
-
-    def _resolve_keywords(
-        self, request: TranslationRequest
-    ) -> tuple[tuple[Keyword, ...], float]:
-        return resolve_request_keywords(request, self.parser)
+        return [self.translate(request) for request in normalized]
 
     def explain(
         self, request: TranslationRequest | str | Sequence[Keyword] | dict
@@ -461,8 +410,8 @@ class Engine:
             # Durable-cache replays carry only the wire fields; recompute
             # through the service (warm in-process caches) to recover the
             # configuration lineage the explanation decomposes.
-            keywords, _ = self._resolve_keywords(
-                TranslationRequest.of(request)
+            keywords, _ = resolve_request_keywords(
+                TranslationRequest.of(request), self.parser
             )
             results = self.service.translate(keywords)
             if not results:  # pragma: no cover - replay implies results

@@ -110,7 +110,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         artifacts=artifacts,
         artifact_version=getattr(args, "version", None),
         cache_size=getattr(args, "cache_size", 2048),
-        max_workers=getattr(args, "workers", 4),
         learn_batch_size=getattr(args, "learn_batch", None),
         slow_query_ms=getattr(args, "slow_query_ms", None),
         # Best-effort parsing for end users (the evaluation harness uses
@@ -304,6 +303,10 @@ def _check_serve_args(args: argparse.Namespace) -> None:
             "--version pins an artifact version and requires --artifacts; "
             "without it the server rebuilds state from the query log"
         )
+    if getattr(args, "workers", None) is not None:
+        print("warning: --workers is deprecated and ignored (translation "
+              "runs on the request thread); it will be removed in the next "
+              "version", file=sys.stderr)
 
 
 def _install_sigterm_shutdown(server) -> None:
@@ -311,10 +314,10 @@ def _install_sigterm_shutdown(server) -> None:
 
     ``kill <pid>`` (the normal supervisor/container stop signal) then
     behaves like Ctrl-C: the serve loop exits, and the caller's cleanup
-    path flushes acknowledged observations into the QFG before the
-    process ends — observed queries are never lost on restart.  The
-    handler hands ``shutdown()`` to a helper thread because it blocks
-    until the serve loop (running on this very thread) notices.
+    path flushes acknowledged observations into the in-memory QFG
+    before the process ends.  The handler hands ``shutdown()`` to a
+    helper thread because it blocks until the serve loop (running on
+    this very thread) notices.
     """
 
     def _handle(signum, frame) -> None:
@@ -784,7 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--cache-size", type=int, default=2048)
-    serve.add_argument("--workers", type=int, default=4)
+    serve.add_argument("--workers", type=int, default=None,
+                       help="deprecated and ignored: translation runs on "
+                            "the request thread")
     serve.add_argument("--learn-batch", type=int, default=None,
                        help="absorb served queries into the QFG every N "
                             "observations (default: learning off)")

@@ -902,10 +902,10 @@ class KeywordMapper:
 
         Returns the count recorded for that request (0 when nothing was
         truncated, -1 when the beam safety cap fired) and consumes the
-        report.  Keyed per request, so concurrent requests — including
-        the thread-pooled batch path — each read their own count.  The
-        serving layer surfaces a non-zero count in response provenance
-        as ``configurations_truncated``; a cached repeat of a truncated
-        request is served from the LRU and does not re-report.
+        report.  Keyed per request, so concurrent requests each read
+        their own count.  The serving layer reads it once per cache miss
+        and stores it with the translate entry, so every response to the
+        request — cached repeats included — carries a non-zero count in
+        its provenance as ``configurations_truncated``.
         """
         return self._truncations.pop(keywords_cache_key(tuple(keywords)), 0)

@@ -112,7 +112,6 @@ def _engine_config(spec: BackendSpec, dataset_name: str, config: EvalConfig):
         # failure modes, translates one item at a time, and never learns
         # from its own output mid-trial.
         simulate_parse_failures=True,
-        max_workers=1,
     )
 
 

@@ -23,7 +23,7 @@ work::
     with stage("join_inference"):
         paths = joins.infer(bag)
 
-With no active sink (direct library use, benchmarks, worker pools)
+With no active sink (direct library use, benchmarks)
 ``stage`` returns a shared no-op and costs one ContextVar read.
 """
 

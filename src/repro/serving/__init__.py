@@ -9,8 +9,8 @@ sit behind traffic:
   graph) and load them back with integrity checks, so startup is a
   deserialize instead of a rebuild.
 * :mod:`repro.serving.service` — :class:`TranslationService`: LRU-cached
-  join paths and whole translations, deduplicated concurrent
-  ``translate_batch``, and online QFG ingestion of served queries.
+  join paths and whole translations (each miss computed once, however
+  many threads ask), and online QFG ingestion of served queries.
 * :mod:`repro.serving.cache` / :mod:`repro.serving.telemetry` — the
   thread-safe LRU cache and the latency/QPS/counter registry behind it.
 * :mod:`repro.serving.http_common` — request decoding and the uniform

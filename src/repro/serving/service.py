@@ -1,11 +1,12 @@
-"""Cached, concurrent translation serving on top of an NLIDB.
+"""Cached translation serving on top of an NLIDB.
 
 :class:`TranslationService` wraps a :class:`~repro.nlidb.base.NLIDB`
 (Pipeline/Pipeline+ or NaLIR) with two LRU caches — whole-request
-translations and join paths — a ``translate_batch`` API that
-deduplicates identical requests and fans the rest out over a thread
-pool, and online ingestion of served queries back into the Query
-Fragment Graph.
+translations and join paths — and online ingestion of served queries
+back into the Query Fragment Graph.  Both caches miss through
+:meth:`~repro.serving.cache.LRUCache.get_or_compute`, which is
+single-flight: concurrent requests for the same key (HTTP threads, say)
+compute it once.
 
 Raw NLQs get a first-level entry in the same translate LRU, keyed on
 the exact NLQ string (see :meth:`TranslationService.translate_nlq`), so
@@ -15,8 +16,8 @@ Cache keys include the QFG revision counter, so absorbing new queries
 (which changes scores) invalidates stale entries implicitly: the next
 request under the new revision misses and recomputes, while the LRU
 discipline ages the old-revision entries out.  Translation is a pure
-computation over shared read-only structures, which is what makes the
-thread-pool fan-out safe; the only mutation — ``absorb_pending`` — is
+computation over shared read-only structures, which is what makes
+concurrent callers safe; the only mutation — ``absorb_pending`` — is
 serialized behind a lock.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.core.fragments import fragments_of_sql
@@ -114,20 +114,6 @@ def resolve_request_keywords(
     return parse_nlq(request.nlq, parser)
 
 
-def take_truncation(
-    service: "TranslationService", keywords: Sequence[Keyword]
-) -> int:
-    """Consume the mapper's truncation report for one request (0 if none).
-
-    Systems without a ``_mapper`` report 0.
-    """
-    mapper = getattr(service.nlidb, "_mapper", None)
-    take = getattr(mapper, "take_truncation", None)
-    if take is None:
-        return 0
-    return take(keywords)
-
-
 def request_summary(request: TranslationRequest, limit: int = 96) -> str:
     """A one-line description of a request for traces and slow-query logs."""
     if request.nlq is not None:
@@ -194,7 +180,7 @@ def translate_request(
     if tracer is not None and not tracer.enabled:
         tracer = None
     journal = service.journal
-    meta = None if journal is None else {}
+    meta = {}
     started = time.perf_counter()
     plane = service.control_plane
     admission = None
@@ -288,9 +274,9 @@ def translate_request(
     if qfg is not None:
         base["qfg_revision"] = qfg.revision
     # Surface a configuration-space truncation (ScoringParams
-    # .max_configurations guard) in the provenance; cached repeats of a
-    # truncated request served from the LRU won't re-report it.
-    dropped = take_truncation(service, keywords)
+    # .max_configurations guard) in the provenance; the translate entry
+    # stores the drop count, so cached repeats report it too.
+    dropped = meta["truncated"]
     if dropped:
         base["configurations_truncated"] = dropped
     drift = service.drift
@@ -351,9 +337,8 @@ def translate_request(
         # the tuple; latency and trace id come from locals rather than
         # dict lookups, and the wall-clock stamp is the import-time epoch
         # plus a perf_counter already taken — no time.time() call.  This
-        # block (plus the `meta` dict above) is the warm path's whole
-        # journaling bill — gated at <= 2 µs per request in
-        # bench_perf_core.py.
+        # block is the warm path's whole journaling bill — gated at
+        # <= 2 µs per request in bench_perf_core.py.
         journal.offer((
             "request", _EPOCH + now, service.journal_tenant, request.nlq,
             keywords, results[0] if results else None, total_ms,
@@ -381,7 +366,7 @@ def translate_request(
 
 
 class TranslationService:
-    """Production front door of one NLIDB: caching, batching, learning."""
+    """Production front door of one NLIDB: caching and learning."""
 
     def __init__(
         self,
@@ -389,7 +374,6 @@ class TranslationService:
         *,
         templar: Templar | None = None,
         cache_size: int = 2048,
-        max_workers: int = 4,
         learn_batch_size: int | None = None,
         max_pending: int = 1024,
         metrics: MetricsRegistry | None = None,
@@ -401,8 +385,6 @@ class TranslationService:
         slo: SLOPolicy | None = None,
         drift_threshold: float | None = None,
     ) -> None:
-        if max_workers < 1:
-            raise ServingError("max_workers must be >= 1")
         if max_pending < 1:
             raise ServingError("max_pending must be >= 1")
         if slow_query_ms is not None and slow_query_ms <= 0:
@@ -460,18 +442,14 @@ class TranslationService:
         self._join_cache = LRUCache(cache_size, "join_paths")
         self._install_join_cache()
 
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve"
-        )
-        self._learn_lock = threading.Lock()     # guards _pending + drain flag
+        self._learn_lock = threading.Lock()     # guards _pending + _closed
         self._absorb_lock = threading.Lock()    # serializes graph swaps
         self._pending: list[str] = []
-        self._drain_scheduled = False
         self._closed = False
 
         # Force lazy one-time structures (the full-text and candidate
         # indexes) to build now, on this thread, instead of racing inside
-        # the first batch.
+        # the first concurrent requests.
         database = getattr(nlidb, "database", None)
         if database is not None:
             database.fulltext
@@ -515,17 +493,17 @@ class TranslationService:
         """Ranked translations for one request, served from cache when warm.
 
         ``trace=True`` arms span collection for the duration of a cache
-        *miss* (the request path sets it; batch workers don't).  Arming
-        here rather than per-request keeps warm hits free of ContextVar
-        writes — the caller collects the sink afterwards via the
-        ContextVar and is responsible for clearing it.
+        *miss* (the request path sets it).  Arming here rather than
+        per-request keeps warm hits free of ContextVar writes — the
+        caller collects the sink afterwards via the ContextVar and is
+        responsible for clearing it.
 
         ``meta``, when passed, receives per-call facts the return value
-        cannot carry (currently ``cache_hit``); the journaling request
-        path passes a dict, everyone else pays one ``is not None`` test.
+        cannot carry: ``cache_hit`` and ``truncated`` (the configurations
+        the mapper dropped, stored with the entry so hits report it too).
         """
         key = (keywords_cache_key(tuple(keywords)), self._qfg_revision())
-        return self._translate(keywords, key, trace, meta)
+        return self._translate(keywords, key, trace, meta)[0]
 
     def translate_nlq(
         self,
@@ -541,9 +519,9 @@ class TranslationService:
         the QFG revision, so a repeated question skips the parse as well
         as the translation (``parse_ms`` is then 0.0).  A miss parses
         with ``parser`` (see :func:`parse_nlq`), translates through the
-        keyword-keyed entry, and stores ``(keywords, results)`` — the
-        very list the keyword entry holds — under the NLQ key.  Parse
-        failures raise ServingError and are never cached.
+        keyword-keyed entry, and stores ``(keywords, results, dropped)``
+        — the very list the keyword entry holds — under the NLQ key.
+        Parse failures raise ServingError and are never cached.
 
         The NLQ probe tallies hits only; on a miss the keyword lookup is
         the counted one.  Either way the request records one ``requests``
@@ -559,15 +537,16 @@ class TranslationService:
             self.metrics.record_latency(
                 "translate", time.perf_counter() - started
             )
+            keywords, results, dropped = cached
             if meta is not None:
                 meta["cache_hit"] = True
-            keywords, results = cached
+                meta["truncated"] = dropped
             return keywords, results, 0.0
         keywords, parse_ms = parse_nlq(nlq, parser)
-        results = self._translate(
+        results, dropped = self._translate(
             keywords, (keywords_cache_key(keywords), revision), trace, meta
         )
-        self._translate_cache.put(nlq_key, (keywords, results))
+        self._translate_cache.put(nlq_key, (keywords, results, dropped))
         return keywords, results, parse_ms
 
     def _translate(
@@ -576,61 +555,32 @@ class TranslationService:
         key: tuple,
         trace: bool,
         meta: dict | None,
-    ) -> list[TranslationResult]:
-        self.metrics.increment("requests")
-        with self.metrics.time("translate"):
-            # Hit/miss tallies live on the cache itself (stats()["caches"]).
-            cached = self._translate_cache.get(key)
-            if cached is not None:
-                if meta is not None:
-                    meta["cache_hit"] = True
-                return cached
-            if meta is not None:
-                meta["cache_hit"] = False
+    ) -> tuple[list[TranslationResult], int]:
+        """The translate entry ``(results, dropped)``: the one miss path."""
+        computed = False
+
+        def compute() -> tuple[list[TranslationResult], int]:
+            nonlocal computed
+            computed = True
             with self.metrics.time("translate_uncached"):
                 if trace:
                     _SINK.set(_ARMED)
                 results = self.nlidb.translate(list(keywords))
-            self._translate_cache.put(key, results)
-            return results
+            # The mapper's report is keyed per request and consumed here,
+            # by the one computation, so the entry carries it to hits.
+            # Systems without a ``_mapper`` report 0.
+            mapper = getattr(self.nlidb, "_mapper", None)
+            take = getattr(mapper, "take_truncation", None)
+            return results, take(keywords) if take is not None else 0
 
-    def top_translation(
-        self, keywords: Sequence[Keyword]
-    ) -> TranslationResult | None:
-        results = self.translate(keywords)
-        return results[0] if results else None
-
-    def translate_batch(
-        self, requests: Sequence[Sequence[Keyword]]
-    ) -> list[list[TranslationResult]]:
-        """Translate many requests: dedupe, then fan out over the pool.
-
-        Identical requests (same keywords and metadata) are computed once;
-        results come back in input order.  Failures propagate — a batch is
-        a unit of work, not a best-effort sweep.
-        """
-        self.metrics.increment("batch_requests")
-        with self.metrics.time("translate_batch"):
-            unique: dict[tuple, Sequence[Keyword]] = {}
-            order: list[tuple] = []
-            for request in requests:
-                key = keywords_cache_key(tuple(request))
-                order.append(key)
-                if key not in unique:
-                    unique[key] = request
-            self.metrics.increment(
-                "batch_deduplicated", len(requests) - len(unique)
-            )
-            futures = {
-                key: self._pool.submit(self.translate, request)
-                for key, request in unique.items()
-            }
-            resolved = {key: future.result() for key, future in futures.items()}
-            return [resolved[key] for key in order]
-
-    def warm(self, requests: Sequence[Sequence[Keyword]]) -> int:
-        """Precompute a workload into the caches; returns requests served."""
-        return len(self.translate_batch(requests))
+        self.metrics.increment("requests")
+        with self.metrics.time("translate"):
+            # Hit/miss tallies live on the cache itself (stats()["caches"]).
+            entry = self._translate_cache.get_or_compute(key, compute)
+        if meta is not None:
+            meta["cache_hit"] = not computed
+            meta["truncated"] = entry[1]
+        return entry
 
     # ------------------------------------------------------------ learning
 
@@ -639,17 +589,15 @@ class TranslationService:
 
         Ingestion is deferred (see :meth:`absorb_pending`) so the hot path
         never pays for graph updates; with ``learn_batch_size`` set, the
-        queue schedules its own drain on the worker pool every N
-        observations — the observing request never waits for the graph
-        rebuild.  The queue is bounded by ``max_pending`` — without a
-        drain schedule the oldest observations are dropped (and counted)
-        rather than growing without limit.
+        observation that fills a batch absorbs it inline, on the
+        observing thread.  The queue is bounded by ``max_pending`` —
+        without ``learn_batch_size`` the oldest observations are dropped
+        (and counted) rather than growing without limit.
         """
         if self.templar is None:
             raise ServingError(
                 "cannot observe queries: the wrapped NLIDB has no Templar"
             )
-        schedule_drain = False
         with self._learn_lock:
             if self._closed:
                 raise ServingError(
@@ -659,45 +607,13 @@ class TranslationService:
             if len(self._pending) > self.max_pending:
                 del self._pending[0]
                 self.metrics.increment("observed_dropped")
-            if (
+            absorb = (
                 self.learn_batch_size is not None
                 and len(self._pending) >= self.learn_batch_size
-                and not self._drain_scheduled
-            ):
-                # One drain task at a time; a burst of observations must
-                # not queue redundant no-op drains onto the worker pool.
-                self._drain_scheduled = True
-                schedule_drain = True
+            )
         self.metrics.increment("observed_queued")
-        if schedule_drain:
-            self._submit_drain()
-
-    def _submit_drain(self) -> None:
-        try:
-            self._pool.submit(self._drain)
-        except RuntimeError:
-            # The pool shut down between the scheduling decision and the
-            # submit (an observe racing close()); close()'s final
-            # absorb_pending flushes whatever is queued.
-            with self._learn_lock:
-                self._drain_scheduled = False
-
-    def _drain(self) -> None:
-        resubmit = False
-        try:
+        if absorb:
             self.absorb_pending()
-        finally:
-            with self._learn_lock:
-                # Observations that arrived while this drain ran must not
-                # strand in the queue waiting for future traffic.
-                resubmit = (
-                    not self._closed
-                    and self.learn_batch_size is not None
-                    and len(self._pending) >= self.learn_batch_size
-                )
-                self._drain_scheduled = resubmit
-        if resubmit:
-            self._submit_drain()
 
     def absorb_pending(self) -> int:
         """Apply queued observations to the QFG; returns how many absorbed.
@@ -867,18 +783,15 @@ class TranslationService:
     def close(self) -> None:
         """Shut down deterministically without losing acknowledged work.
 
-        Ordering matters: mark closed (new observations are refused and
-        in-flight drains stop rescheduling themselves), wait for the
-        worker pool — any running drain finishes — and only then flush
-        whatever is still queued.  Observations were acknowledged to
-        clients, so they must reach the QFG before the process exits.
-        Idempotent: a second close is a no-op.
+        Ordering matters: mark closed (new observations are refused),
+        then flush whatever is still queued.  Observations were
+        acknowledged to clients, so they must reach the QFG before the
+        process exits.  Idempotent: a second close is a no-op.
         """
         with self._learn_lock:
             if self._closed:
                 return
             self._closed = True
-        self._pool.shutdown(wait=True)
         if self.templar is not None and self.pending_observations:
             self.absorb_pending()
 

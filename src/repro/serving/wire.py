@@ -344,9 +344,7 @@ class TranslationResponse:
       config fingerprint, artifact version, QFG revision (plus the
       ``tenant`` id when served through the multi-tenant gateway),
     * ``timings_ms`` — per-stage wall-clock (``parse``, ``translate``,
-      ``total``); responses produced by a batched translate share the
-      batch's wall-clock for ``translate``/``total`` and carry a
-      ``batch_size`` entry marking them as batch-level numbers.
+      ``total``) of this request, batched or not.
 
     >>> response = TranslationResponse(
     ...     request=TranslationRequest(nlq="return the papers"), results=[])

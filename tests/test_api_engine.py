@@ -166,13 +166,11 @@ class TestEngineTranslate:
             singles = [engine.translate(r).sql for r in requests]
             batch = engine.translate_batch(requests)
             assert [r.sql for r in batch] == singles
-            # Batch responses keep the documented timing keys and mark
-            # themselves as batch-level numbers.
+            # Each batch response carries its own request's timings.
             for response in batch:
-                assert set(response.timings_ms) >= {
-                    "parse", "translate", "total", "batch_size"
+                assert set(response.timings_ms) == {
+                    "parse", "translate", "total"
                 }
-                assert response.timings_ms["batch_size"] == len(requests)
 
     def test_explain_decomposes_top_configuration(self):
         with mini_engine() as engine:
@@ -405,13 +403,17 @@ class TestCLIEntryPoint:
         assert code == 0
         assert "SQL: SELECT" in capsys.readouterr().out
 
-    def test_invalid_worker_count_exits_2(self, capsys):
+    def test_workers_flag_is_deprecated(self, tmp_path, capsys):
+        """``--workers`` still parses, warns and changes nothing; the
+        missing artifact store then stops the server before it binds."""
         from repro.cli import main
 
         code = main(["serve", "--dataset", "mas", "--workers", "0",
-                     "--port", "0"])
+                     "--artifacts", str(tmp_path / "void"), "--port", "0"])
         assert code == 2
-        assert "max_workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--workers is deprecated and ignored" in err
+        assert "error:" in err
 
     def test_misconfigured_learn_batch_exits_2(self, capsys):
         """Construction-time ServingError is operational: exit 2, not 1."""

@@ -158,7 +158,7 @@ def test_truncation_surfaces_in_response_provenance():
             self._mapper.map_keywords(list(keywords))
             return []
 
-    service = TranslationService(FullEnumerationNLIDB(), max_workers=1)
+    service = TranslationService(FullEnumerationNLIDB())
     request = TranslationRequest(keywords=tuple([kw("gold", WHERE)] * 4))
     response = translate_request(service, request)
     assert response.provenance["configurations_truncated"] == 80
@@ -167,6 +167,51 @@ def test_truncation_surfaces_in_response_provenance():
         service, TranslationRequest(keywords=(kw("gold", WHERE),))
     )
     assert "configurations_truncated" not in clean.provenance
+    service.close()
+
+
+def test_cached_repeats_of_a_truncated_request_report_it():
+    """The drop count rides the translate entry: hits report it too."""
+    from types import SimpleNamespace
+
+    from repro.serving.service import TranslationService, translate_request
+    from repro.serving.wire import TranslationRequest
+
+    db = tie_flood_db(tables=3)
+    params = ScoringParams(kappa=1, max_configurations=50)
+    mapper = KeywordMapper(db, CompositeModel(), params=params)
+    truncating = tuple([kw("gold", WHERE)] * 4)
+
+    class FullEnumerationNLIDB:
+        name = "full-enum"
+        database = db
+        _mapper = mapper
+
+        def translate(self, keywords):
+            self._mapper.map_keywords(list(keywords))
+            return []
+
+    class FixedParser:
+        def parse(self, nlq):
+            return SimpleNamespace(failed=False, keywords=list(truncating))
+
+    service = TranslationService(FullEnumerationNLIDB())
+    by_keywords = [
+        translate_request(service, TranslationRequest(keywords=truncating))
+        for _ in range(2)
+    ]
+    by_nlq = [
+        translate_request(
+            service, TranslationRequest(nlq="gold gold gold gold"),
+            parser=FixedParser(),
+        )
+        for _ in range(2)
+    ]
+    for response in by_keywords + by_nlq:
+        assert response.provenance["configurations_truncated"] == 80
+    stats = service._translate_cache.stats()
+    # One computation; the other three requests were cache hits.
+    assert (stats.misses, stats.hits) == (1, 3)
     service.close()
 
 

@@ -48,7 +48,7 @@ def parser(mini_db):
 def _service(mini_db, mini_model, mini_log, **kwargs) -> TranslationService:
     templar = Templar(mini_db, mini_model, mini_log)
     nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-    return TranslationService(nlidb, max_workers=1, **kwargs)
+    return TranslationService(nlidb, **kwargs)
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -104,6 +105,136 @@ class TestLRUCache:
         assert not errors
         assert len(cache) <= 64
 
+
+class TestSingleFlight:
+    """``get_or_compute``: each miss computes once, however many callers."""
+
+    N = 8
+
+    def _race(self, cache, factory):
+        """N threads call ``get_or_compute("k")`` while the factory runs.
+
+        The factory is held until every other thread has entered the
+        cache, so they all arrive during the one computation.
+        """
+        release = threading.Event()
+        outcomes = [None] * self.N
+
+        def held():
+            release.wait(5.0)
+            return factory()
+
+        def caller(index: int) -> None:
+            try:
+                outcomes[index] = ("ok", cache.get_or_compute("k", held))
+            except Exception as exc:
+                outcomes[index] = ("error", exc)
+
+        threads = [
+            threading.Thread(target=caller, args=(i,)) for i in range(self.N)
+        ]
+        for thread in threads:
+            thread.start()
+        # Every caller but the computing one parks on the in-flight entry.
+        deadline = time.monotonic() + 5.0
+        while (cache.stats().requests < self.N
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        return outcomes
+
+    def test_racing_callers_share_one_computation(self):
+        cache = LRUCache(maxsize=4)
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return ["value"]
+
+        outcomes = self._race(cache, factory)
+        assert len(calls) == 1
+        values = [value for status, value in outcomes]
+        assert all(status == "ok" for status, _ in outcomes)
+        assert all(value is values[0] for value in values)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, self.N - 1)
+        assert cache.get_or_compute("k", lambda: pytest.fail("recomputed")) \
+            is values[0]
+
+    def test_exception_reaches_every_waiter_and_is_not_cached(self):
+        cache = LRUCache(maxsize=4)
+        calls = []
+
+        def factory():
+            calls.append(1)
+            raise ValueError("boom")
+
+        outcomes = self._race(cache, factory)
+        assert len(calls) == 1
+        assert all(
+            status == "error" and isinstance(exc, ValueError)
+            for status, exc in outcomes
+        )
+        assert "k" not in cache
+        # The next caller computes afresh.
+        assert cache.get_or_compute("k", lambda: "fresh") == "fresh"
+        assert "k" in cache
+
+    def test_stress_each_key_computes_once(self):
+        """More threads than cores, fast thread switching, small LRU."""
+        import sys
+        from collections import Counter
+
+        cache = LRUCache(maxsize=1024)
+        calls = Counter()
+        calls_lock = threading.Lock()
+
+        def factory(key):
+            with calls_lock:
+                calls[key] += 1
+            time.sleep(0.0005)
+            return ("value", key)
+
+        def worker(offset: int) -> None:
+            for i in range(200):
+                key = (i + offset) % 50
+                assert cache.get_or_compute(key, lambda: factory(key)) == (
+                    "value", key
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(calls.values()) == {1}
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (50, 8 * 200 - 50)
+
+    def test_zero_maxsize_computes_on_every_call(self):
+        cache = LRUCache(maxsize=0)
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return "value"
+
+        for _ in range(3):
+            assert cache.get_or_compute("k", factory) == "value"
+        assert len(calls) == 3
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.size) == (3, 0, 0)
 
 class TestPercentile:
     def test_empty_and_single(self):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Engine, EngineConfig
 from repro.core import Keyword, KeywordMetadata, QueryLog, Templar
 from repro.core.fragments import FragmentContext
+from repro.datasets.base import BenchmarkDataset
 from repro.embedding import CompositeModel
 from repro.errors import ServingError
 from repro.nlidb import PipelineNLIDB
@@ -36,13 +38,32 @@ def _mini_requests() -> list[list[Keyword]]:
 def service(mini_db, mini_model, mini_log):
     templar = Templar(mini_db, mini_model, mini_log)
     nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-    with TranslationService(nlidb, max_workers=3) as svc:
+    with TranslationService(nlidb) as svc:
         yield svc
+
+
+@pytest.fixture()
+def engine(mini_db, mini_lexicon, mini_log):
+    dataset = BenchmarkDataset(
+        name="mini", database=mini_db, items=[], lexicon=mini_lexicon,
+        schema_terms=["papers", "journals", "authors"],
+    )
+    config = EngineConfig(dataset="mini", log_source="none")
+    with Engine.from_config(
+        config, dataset=dataset, query_log=mini_log
+    ) as built:
+        yield built
+
+
+def _translate_stats(engine) -> dict:
+    return next(
+        c for c in engine.stats()["caches"] if c["name"] == "translate"
+    )
 
 
 class TestCachedConsistency:
     def test_cached_and_batched_match_direct_translate(
-        self, mini_db, mini_model, mini_log
+        self, mini_db, mini_model, mini_log, engine
     ):
         """The serving path must be a pure accelerator, never a rescorer."""
         templar = Templar(mini_db, mini_model, mini_log)
@@ -54,19 +75,22 @@ class TestCachedConsistency:
 
         served_templar = Templar(mini_db, mini_model, mini_log)
         served_nlidb = PipelineNLIDB(mini_db, mini_model, served_templar)
-        with TranslationService(served_nlidb, max_workers=4) as service:
-            single = [
-                [(r.sql, r.config_score, r.join_score) for r in service.translate(kw)]
-                for kw in _mini_requests()
-            ]
-            # Twice through the batch API: cold then fully cached.
+        with TranslationService(served_nlidb) as service:
+            # Twice through the service: cold then fully cached.
             for _ in range(2):
-                batched = [
-                    [(r.sql, r.config_score, r.join_score) for r in results]
-                    for results in service.translate_batch(_mini_requests())
+                single = [
+                    [(r.sql, r.config_score, r.join_score)
+                     for r in service.translate(kw)]
+                    for kw in _mini_requests()
                 ]
-                assert batched == direct_out
-            assert single == direct_out
+                assert single == direct_out
+        # Twice through the engine's batch API: cold then fully cached.
+        for _ in range(2):
+            batched = [
+                [(r.sql, r.config_score, r.join_score) for r in response.results]
+                for response in engine.translate_batch(_mini_requests())
+            ]
+            assert batched == direct_out
 
     def test_consistency_on_sampled_mas_workload(self, mas_dataset):
         """Same check against real benchmark items (sampled for speed)."""
@@ -82,22 +106,18 @@ class TestCachedConsistency:
             for item in items
         ]
 
-        nlidb = PipelineNLIDB(db, model, Templar(db, model, log))
-        with TranslationService(nlidb, max_workers=4) as service:
+        config = EngineConfig(dataset="mas", log_source="none")
+        with Engine.from_config(
+            config, dataset=mas_dataset, query_log=log
+        ) as engine:
             requests = [item.keywords for item in items]
-            batched = service.translate_batch(requests)
-            rebatched = service.translate_batch(requests)
-            assert [
-                [(r.sql, r.config_score) for r in results] for results in batched
-            ] == expected
-            assert [
-                [(r.sql, r.config_score) for r in results] for results in rebatched
-            ] == expected
-            stats = service.stats()
-            translate_stats = next(
-                c for c in stats["caches"] if c["name"] == "translate"
-            )
-            assert translate_stats["hits"] >= len(items)
+            for _ in range(2):
+                batched = engine.translate_batch(requests)
+                assert [
+                    [(r.sql, r.config_score) for r in response.results]
+                    for response in batched
+                ] == expected
+            assert _translate_stats(engine)["hits"] >= len(items)
 
 
 class TestCachingBehaviour:
@@ -110,12 +130,16 @@ class TestCachingBehaviour:
         assert stats.hits == 1
         assert stats.misses == 1
 
-    def test_batch_deduplicates_identical_requests(self, service):
+    def test_batch_deduplicates_identical_requests(self, engine):
+        # The translate cache is the one dedup mechanism: a batch's
+        # duplicates are hits on the entry its first occurrence filled.
         keywords = _mini_requests()[0]
-        results = service.translate_batch([keywords, keywords, keywords])
-        assert len(results) == 3
-        assert results[0] is results[1] is results[2]
-        assert service.metrics.counter("batch_deduplicated") == 2
+        responses = engine.translate_batch([keywords, keywords, keywords])
+        assert len(responses) == 3
+        assert responses[0].results is responses[1].results \
+            is responses[2].results
+        stats = _translate_stats(engine)
+        assert (stats["misses"], stats["hits"]) == (1, 2)
 
     def test_equal_but_distinct_keyword_objects_share_an_entry(self, service):
         first = service.translate(_mini_requests()[0])
@@ -130,8 +154,8 @@ class TestCachingBehaviour:
         )
         assert again is first
 
-    def test_empty_batch(self, service):
-        assert service.translate_batch([]) == []
+    def test_empty_batch(self, engine):
+        assert engine.translate_batch([]) == []
 
     def test_stage_caches_serve_across_requests(self, service):
         # Two different NLQs over the same relations share join-path work.
@@ -142,11 +166,83 @@ class TestCachingBehaviour:
         )
         assert join_stats["hits"] > 0
 
-    def test_warm_fills_the_cache(self, service):
-        assert service.warm(_mini_requests()) == len(_mini_requests())
+    def test_warm_fills_the_cache(self, engine):
+        # A warm-up batch leaves every request cached for later singles.
+        assert len(engine.translate_batch(_mini_requests())) == len(
+            _mini_requests()
+        )
         for keywords in _mini_requests():
-            service.translate(keywords)
-        assert service._translate_cache.stats().hits >= len(_mini_requests())
+            engine.service.translate(keywords)
+        assert _translate_stats(engine)["hits"] >= len(_mini_requests())
+
+
+class TestOneMissPath:
+    """A cold mas workload computes each translate and join miss once,
+    whether it arrives as a loop, a batch or concurrent callers."""
+
+    #: Sequential counts over mas's 194 usable keyword items.
+    SEQUENTIAL_MISSES = {"translate": 194, "join_paths": 100}
+
+    @staticmethod
+    def _misses(engine) -> dict:
+        return {
+            c["name"]: c["misses"] for c in engine.stats()["caches"]
+        }
+
+    @staticmethod
+    def _cold_engine(mas_dataset):
+        return Engine.from_config(
+            EngineConfig(dataset="mas"), dataset=mas_dataset
+        )
+
+    @pytest.fixture(scope="class")
+    def loop(self, mas_dataset):
+        """``(requests, SQL per request)`` from a loop over translate."""
+        requests = [item.keywords for item in mas_dataset.usable_items()]
+        with self._cold_engine(mas_dataset) as engine:
+            sqls = [engine.translate(keywords).sql for keywords in requests]
+            assert self._misses(engine) == self.SEQUENTIAL_MISSES
+        return requests, sqls
+
+    def test_batch_matches_a_loop_over_translate(self, mas_dataset, loop):
+        requests, loop_sqls = loop
+        with self._cold_engine(mas_dataset) as engine:
+            batch = engine.translate_batch(requests)
+            assert [response.sql for response in batch] == loop_sqls
+            assert self._misses(engine) == self.SEQUENTIAL_MISSES
+        # Every batch response is a full single-request response.
+        for response in batch:
+            assert set(response.timings_ms) == {"parse", "translate", "total"}
+
+    def test_concurrent_callers_compute_each_miss_once(
+        self, mas_dataset, loop
+    ):
+        import threading
+
+        requests, loop_sqls = loop
+        outputs: list[list[str]] = []
+        errors: list[Exception] = []
+        with self._cold_engine(mas_dataset) as engine:
+            start = threading.Barrier(4)
+
+            def caller() -> None:
+                try:
+                    start.wait()
+                    outputs.append(
+                        [engine.translate(kw).sql for kw in requests]
+                    )
+                except Exception as exc:  # pragma: no cover - reported
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
+            assert not errors
+            assert self._misses(engine) == self.SEQUENTIAL_MISSES
+        assert outputs == [loop_sqls] * 4
 
 
 class TestOnlineLearning:
@@ -172,21 +268,13 @@ class TestOnlineLearning:
         assert service.metrics.counter("observe_errors") == 1
 
     def test_learn_batch_size_auto_absorbs(self, mini_db, mini_model, mini_log):
-        import time
-
         templar = Templar(mini_db, mini_model, mini_log)
         nlidb = PipelineNLIDB(mini_db, mini_model, templar)
         with TranslationService(nlidb, learn_batch_size=2) as service:
             service.observe("SELECT j.name FROM journal j")
             assert service.pending_observations == 1
+            # The observation that fills the batch absorbs it inline.
             service.observe("SELECT a.name FROM author a")
-            # The drain is scheduled on the worker pool, off the hot path.
-            deadline = time.monotonic() + 5.0
-            while (
-                service.metrics.counter("observed_absorbed") < 2
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
             assert service.metrics.counter("observed_absorbed") == 2
             assert service.pending_observations == 0
 
@@ -243,10 +331,23 @@ class TestServiceStats:
         assert stats["metrics"]["counters"]["requests"] == 1
         assert "translate" in stats["metrics"]["latencies"]
 
-    def test_invalid_worker_count_rejected(self, mini_db, mini_model):
-        nlidb = PipelineNLIDB(mini_db, mini_model, None)
-        with pytest.raises(ServingError):
-            TranslationService(nlidb, max_workers=0)
+    def test_max_workers_key_is_deprecated(self):
+        """A saved config with the retired pool width still loads, once
+        warned; the key is dropped, not carried."""
+        from repro.gateway import GatewayConfig
+
+        with pytest.warns(DeprecationWarning, match="max_workers") as caught:
+            config = EngineConfig.from_dict(
+                {"dataset": "mas", "max_workers": 4}
+            )
+        assert len(caught) == 1
+        assert config == EngineConfig(dataset="mas")
+        assert "max_workers" not in config.to_dict()
+        with pytest.warns(DeprecationWarning, match="max_workers"):
+            gateway = GatewayConfig.from_dict({"tenants": {
+                "mas": {"engine": {"dataset": "mas", "max_workers": 0}}
+            }})
+        assert gateway.tenants["mas"].engine == EngineConfig(dataset="mas")
 
     def test_double_wrapping_one_nlidb_rejected(
         self, mini_db, mini_model, mini_log
