@@ -1,8 +1,8 @@
 """API-overhead benchmark: the Engine facade versus direct Templar calls.
 
 The unified ``repro.api.Engine`` wraps every translation in request
-normalization, a caching ``TranslationService``, stage timing and
-response assembly.  That convenience must stay (close to) free: this
+normalization, the engine's translate cache, stage timing and response
+assembly.  That convenience must stay (close to) free: this
 bench translates the same workload through a bare ``PipelineNLIDB`` and
 through an Engine whose caches are cleared before every request (so each
 call exercises the full uncached path, like the direct baseline), and
@@ -61,7 +61,7 @@ def bench_overhead(dataset_name: str, smoke: bool) -> tuple[float, float, float]
         # than warm-cache-vs-cold.
         elapsed = 0.0
         for keywords in requests:
-            engine.service.clear_caches()
+            engine.clear_caches()
             started = time.perf_counter()
             engine.translate(keywords)
             elapsed += time.perf_counter() - started

@@ -246,7 +246,7 @@ def bench_tracing_overhead(smoke: bool) -> dict:
     from repro.api import Engine, EngineConfig
 
     engine = Engine.from_config(EngineConfig(dataset="mas"))
-    tracer = engine.service.tracer
+    tracer = engine.tracer
     requests = [
         list(item.keywords)
         for item in engine.dataset.usable_items()
@@ -331,7 +331,6 @@ def bench_journal_overhead(smoke: bool) -> dict:
     from repro.obs.journal import RequestJournal
 
     engine = Engine.from_config(EngineConfig(dataset="mas"))
-    service = engine.service
     items = [item for item in engine.dataset.usable_items() if item.keywords]
     if smoke:
         items = items[:25]
@@ -353,7 +352,7 @@ def bench_journal_overhead(smoke: bool) -> dict:
             max_queue=100_000,
         )
         for journaled in (True, False):  # fill the caches in both modes
-            service.journal = journal if journaled else None
+            engine.journal = journal if journaled else None
             for nlq in nlqs:
                 engine.translate(nlq)
             for keywords in keyword_requests:
@@ -371,7 +370,7 @@ def bench_journal_overhead(smoke: bool) -> dict:
                 gc.collect()
                 gc.disable()
                 for journaled in order:
-                    service.journal = journal if journaled else None
+                    engine.journal = journal if journaled else None
                     started = perf()
                     for nlq in nlqs:
                         engine.translate(nlq)
@@ -385,7 +384,7 @@ def bench_journal_overhead(smoke: bool) -> dict:
             for rep in range(floor_reps):
                 order = (True, False) if rep % 4 in (0, 3) else (False, True)
                 for journaled in order:
-                    service.journal = journal if journaled else None
+                    engine.journal = journal if journaled else None
                     mins = floors[journaled]
                     for i, keywords in enumerate(keyword_requests):
                         started = perf()
@@ -401,7 +400,7 @@ def bench_journal_overhead(smoke: bool) -> dict:
         finally:
             if gc_was_enabled:
                 gc.enable()
-            service.journal = None
+            engine.journal = None
         dropped = journal.dropped
         journal.close()
     engine.close()
@@ -447,8 +446,7 @@ def bench_slo_overhead(smoke: bool) -> dict:
         ),
         drift_threshold=0.35,
     ))
-    service = engine.service
-    evaluator, drift = service.slo_evaluator, service.drift
+    evaluator, drift = engine.slo_evaluator, engine.drift
     assert evaluator is not None and drift is not None
     nlqs = [
         item.nlq for item in engine.dataset.usable_items() if item.keywords
@@ -456,8 +454,8 @@ def bench_slo_overhead(smoke: bool) -> dict:
     if smoke:
         nlqs = nlqs[:25]
     for monitored in (True, False):  # fill caches in both modes
-        service.slo_evaluator = evaluator if monitored else None
-        service.drift = drift if monitored else None
+        engine.slo_evaluator = evaluator if monitored else None
+        engine.drift = drift if monitored else None
         for nlq in nlqs:
             engine.translate(nlq)
     times = {True: [], False: []}
@@ -471,8 +469,8 @@ def bench_slo_overhead(smoke: bool) -> dict:
             gc.collect()
             gc.disable()
             for monitored in order:
-                service.slo_evaluator = evaluator if monitored else None
-                service.drift = drift if monitored else None
+                engine.slo_evaluator = evaluator if monitored else None
+                engine.drift = drift if monitored else None
                 started = perf()
                 for _ in range(sweeps):
                     for nlq in nlqs:
@@ -482,12 +480,12 @@ def bench_slo_overhead(smoke: bool) -> dict:
                 gc.enable()
             # Scrape-cadence work happens here, between rounds — exactly
             # where production pays it (the /metrics handler's thread).
-            service.sync_observability_counters()
+            engine.sync_observability_counters()
     finally:
         if gc_was_enabled:
             gc.enable()
-        service.slo_evaluator = evaluator
-        service.drift = drift
+        engine.slo_evaluator = evaluator
+        engine.drift = drift
     engine.close()
     median = lambda s: sorted(s)[len(s) // 2]  # noqa: E731
     median_ratio = median(times[True]) / median(times[False])

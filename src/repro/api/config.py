@@ -37,6 +37,11 @@ from repro.obs.slo import SLOPolicy
 #: * ``"none"`` — start with an empty log (online learning only).
 LOG_SOURCES = ("dataset", "file", "artifacts", "none")
 
+#: Bound of an engine's observation queue: beyond it the oldest queued
+#: observation is dropped (and counted as ``observed_dropped``), so
+#: ``learn_batch_size`` must fit inside it.
+MAX_PENDING = 1024
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -157,6 +162,14 @@ class EngineConfig:
             raise ConfigError(
                 f"cache_size must be >= 0 (0 disables caching), "
                 f"got {self.cache_size}"
+            )
+        if self.learn_batch_size is not None and not (
+            1 <= self.learn_batch_size <= MAX_PENDING
+        ):
+            raise ConfigError(
+                f"learn_batch_size must be between 1 and {MAX_PENDING} "
+                f"(the observation queue bound), or None to disable "
+                f"auto-draining; got {self.learn_batch_size}"
             )
         if self.trace_keep < 1:
             raise ConfigError(f"trace_keep must be >= 1, got {self.trace_keep}")

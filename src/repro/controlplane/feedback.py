@@ -20,7 +20,7 @@ Feedback closes the loop with *user* verdicts:
 Verdicts are validated here (:func:`validate_feedback_payload` — strict
 fields, same contract as the wire codecs), persisted by
 :meth:`ControlPlane.submit_feedback`, and consumed by
-:func:`apply_feedback`, which advances a per-service cursor over the
+:func:`apply_feedback`, which advances a per-engine cursor over the
 durable feedback table so each replica applies every verdict exactly
 once per engine generation.  A reloaded or restarted engine starts from
 cursor 0 and re-applies the full history against its freshly rebuilt
@@ -97,45 +97,45 @@ def learnable_sql(row: dict) -> str | None:
     return None
 
 
-def apply_feedback(service, *, batch: int = 256) -> int:
-    """Apply all unseen feedback for ``service``'s tenant to its QFG.
+def apply_feedback(engine, *, batch: int = 256) -> int:
+    """Apply all unseen feedback for ``engine``'s tenant to its QFG.
 
-    Walks the durable feedback table past ``service.feedback_cursor``,
+    Walks the durable feedback table past ``engine.feedback_cursor``,
     observes every accepted/corrected SQL, and absorbs each batch so the
     observation queue never overflows on a large backlog.  Returns the
     number of verdicts whose SQL was observed.  Unparseable
-    user-supplied SQL is counted by the service (``observe_errors``) and
+    user-supplied SQL is counted by the engine (``observe_errors``) and
     skipped — one bad correction cannot wedge the loop.
     """
-    plane = getattr(service, "control_plane", None)
+    plane = getattr(engine, "control_plane", None)
     if plane is None or not plane.feedback_enabled:
         return 0
-    if getattr(service, "templar", None) is None:
+    if getattr(engine, "templar", None) is None:
         return 0
     applied = 0
     while True:
         rows = plane.feedback_after(
-            service.journal_tenant, service.feedback_cursor, limit=batch
+            engine.journal_tenant, engine.feedback_cursor, limit=batch
         )
         if not rows:
             break
         observed = 0
         for row in rows:
-            service.feedback_cursor = row["feedback_id"]
+            engine.feedback_cursor = row["feedback_id"]
             sql = learnable_sql(row)
             if sql is None:
                 continue
             try:
-                service.observe(sql)
+                engine.observe(sql)
                 observed += 1
             except ReproError:
-                # Service closed / learning unavailable: stop without
+                # Engine closed / learning unavailable: stop without
                 # advancing past this generation's ability to learn.
                 break
         if observed:
             try:
-                service.absorb_pending()
-            except ReproError:  # pragma: no cover - service closing
+                engine.absorb_pending()
+            except ReproError:  # pragma: no cover - engine closing
                 break
             applied += observed
         if len(rows) < batch:

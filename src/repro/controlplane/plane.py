@@ -1,6 +1,6 @@
 """The in-process client for the shared control-plane store.
 
-:class:`ControlPlane` is what a :class:`~repro.serving.service.TranslationService`
+:class:`ControlPlane` is what an :class:`~repro.api.engine.Engine`
 (or a whole gateway) holds: one per process, wrapping one
 :class:`~repro.controlplane.store.ControlPlaneStore` with the policy
 layer the hot path needs —
@@ -14,7 +14,7 @@ layer the hot path needs —
   naturally invalidates by changing the key, never by explicit purge;
 * **admission** (:meth:`admit`) — one call that resolves idempotency
   (claim / replay / conflict / concurrent-duplicate) and then the
-  durable cache, before the service pays for parsing or translation;
+  durable cache, before the engine pays for parsing or translation;
 * **write-behind persistence** (:meth:`finish`) — the request thread
   enqueues a reference tuple; a daemon writer encodes and upserts, so
   the durable cache costs the warm path one deque append.  The one
@@ -179,21 +179,21 @@ class ControlPlane:
         self._request_keys[memo_key] = key
         return key
 
-    def artifact_fingerprint(self, service, provenance: dict | None = None) -> str:
-        """Content hash of the artifact generation a service is serving.
+    def artifact_fingerprint(self, engine, provenance: dict | None = None) -> str:
+        """Content hash of the artifact generation an engine is serving.
 
         Combines the engine identity (backend, dataset, config
         fingerprint, artifact version — from the provenance dict) with
         the QFG's content hash, so two replicas built from the same
         config and query log produce the *same* fingerprint and share
         cache entries, while any absorbed observation batch moves a
-        replica to a fresh key space.  Memoized per ``(service, QFG
+        replica to a fresh key space.  Memoized per ``(engine, QFG
         revision)``: the QFG hash is only recomputed after learning.
         """
-        templar = getattr(service, "templar", None)
+        templar = getattr(engine, "templar", None)
         qfg = getattr(templar, "qfg", None) if templar is not None else None
         revision = getattr(qfg, "revision", None)
-        memo = self._fingerprints.get(id(service))
+        memo = self._fingerprints.get(id(engine))
         if memo is not None and memo[0] == revision:
             return memo[1]
         identity = {
@@ -209,7 +209,7 @@ class ControlPlane:
         fingerprint = digest.hexdigest()
         if len(self._fingerprints) >= 64:
             self._fingerprints.clear()
-        self._fingerprints[id(service)] = (revision, fingerprint)
+        self._fingerprints[id(engine)] = (revision, fingerprint)
         return fingerprint
 
     def new_request_id(self) -> str:

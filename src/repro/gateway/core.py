@@ -281,7 +281,7 @@ class Gateway:
         if host.live:
             # Also count on the tenant's own registry: the per-tenant
             # SLO evaluator (feedback_reject_rate) reads that one.
-            host.engine.service.metrics.increment(
+            host.engine.metrics.increment(
                 "feedback", labels={"verdict": record["verdict"]}
             )
         if self.journal is not None:
@@ -325,7 +325,7 @@ class Gateway:
         total = 0
         for host in self.hosts.values():
             if host.live:
-                total += host.engine.service.pending_observations
+                total += host.engine.pending_observations
         return total
 
     # ------------------------------------------------------- observability
@@ -333,7 +333,7 @@ class Gateway:
     def metrics_sources(self) -> list[tuple[dict, MetricsRegistry]]:
         """Registries for one exposition page: gateway + live tenants.
 
-        Each live tenant's service registry is labelled ``{"tenant":
+        Each live tenant's engine registry is labelled ``{"tenant":
         ...}``, which is how per-tenant latency histograms and error
         counters reach an external scraper from a single ``/metrics``.
         """
@@ -341,9 +341,9 @@ class Gateway:
         sources: list[tuple[dict, MetricsRegistry]] = [({}, self.metrics)]
         for tenant_id, host in sorted(self.hosts.items()):
             if host.live:
-                service = host.engine.service
-                service.sync_observability_counters()
-                sources.append(({"tenant": tenant_id}, service.metrics))
+                engine = host.engine
+                engine.sync_observability_counters()
+                sources.append(({"tenant": tenant_id}, engine.metrics))
         return sources
 
     def _sync_writer_counters(self) -> None:
@@ -401,7 +401,7 @@ class Gateway:
             if not host.live:
                 reports[tenant_id] = {"configured": False, "live": False}
                 continue
-            report = host.engine.service.slo_report()
+            report = host.engine.slo_report()
             reports[tenant_id] = (
                 report.as_dict() if report is not None
                 else {"configured": False}

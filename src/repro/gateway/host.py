@@ -419,8 +419,8 @@ class EngineHost:
             lease = self._lease
         if lease is None:
             return
-        old_drift = getattr(lease.engine.service, "drift", None)
-        new_drift = getattr(new_engine.service, "drift", None)
+        old_drift = getattr(lease.engine, "drift", None)
+        new_drift = getattr(new_engine, "drift", None)
         if old_drift is None or new_drift is None:
             return
         old_drift.tick("reload")

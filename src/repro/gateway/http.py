@@ -256,7 +256,7 @@ class GatewayRequestHandler(JSONRequestHandlerMixin):
                 f"backend has no Templar"
             )
         if not (
-            engine.service.learning_enabled
+            engine.learning_enabled
             or self.server.gateway.learning_scheduled
         ):
             # Without any drain schedule the queue would just fill and

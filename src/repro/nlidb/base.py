@@ -62,9 +62,3 @@ class NLIDB(ABC):
     @abstractmethod
     def translate(self, keywords: list[Keyword]) -> list[TranslationResult]:
         """Ranked SQL translations for parsed keywords (best first)."""
-
-    def top_translation(
-        self, keywords: list[Keyword]
-    ) -> TranslationResult | None:
-        results = self.translate(keywords)
-        return results[0] if results else None

@@ -126,20 +126,18 @@ def _record_request(record: dict):
 def _shadow_translate(engine, nlq, keywords):
     """Top result of one replay on one engine, with zero side effects.
 
-    Goes through ``service.translate`` directly (not the wire path), so
-    the replay touches no journal, no control plane, no learning queue
-    and no drift window — only the translate caches (which it warms, a
-    feature for a candidate about to go live).  Failures read as ``None``
-    — both engines failing on the same request counts as agreement.
+    Goes through the engine's cache lookup (``Engine._lookup``), not the
+    request lifecycle, so the replay touches no metrics registry, no
+    journal, no control plane, no learning queue and no drift window —
+    only the translate caches (which it warms, a feature for a candidate
+    about to go live).  Failures read as ``None`` — both engines failing
+    on the same request counts as agreement.
     """
-    from repro.serving.service import resolve_request_keywords
     from repro.serving.wire import TranslationRequest
 
     try:
-        if keywords is None:
-            request = TranslationRequest(nlq=nlq)
-            keywords, _ = resolve_request_keywords(request, engine.parser)
-        results = engine.service.translate(keywords)
+        request = TranslationRequest(nlq=nlq, keywords=keywords)
+        results = engine._lookup(request)[1]
     except Exception:
         return None
     return results[0] if results else None

@@ -360,7 +360,7 @@ class TraceStore:
 
 
 class Tracer:
-    """Per-service trace lifecycle: begin a sink, finish into the store.
+    """Per-engine trace lifecycle: begin a sink, finish into the store.
 
     ``enabled=False`` turns the whole layer into a handful of ``None``
     checks — the knob `EngineConfig(tracing=False)` maps to.

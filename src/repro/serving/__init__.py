@@ -1,4 +1,4 @@
-"""Production serving layer: artifacts, caching service, telemetry, HTTP.
+"""Production serving layer: artifacts, caches, telemetry, wire, HTTP.
 
 The research pipeline rebuilds its state from the raw query log on every
 run; this package is what turns the reproduction into something that can
@@ -8,11 +8,12 @@ sit behind traffic:
   versioned on-disk artifacts (QFG tables, lexicon, catalog, schema
   graph) and load them back with integrity checks, so startup is a
   deserialize instead of a rebuild.
-* :mod:`repro.serving.service` — :class:`TranslationService`: LRU-cached
-  join paths and whole translations (each miss computed once, however
-  many threads ask), and online QFG ingestion of served queries.
 * :mod:`repro.serving.cache` / :mod:`repro.serving.telemetry` — the
-  thread-safe LRU cache and the latency/QPS/counter registry behind it.
+  thread-safe, single-flight LRU cache (plus the join-path memoizer
+  built on it) and the latency/QPS/counter registry that
+  :class:`~repro.api.Engine` serves through.
+* :mod:`repro.serving.wire` — the request/response pair every frontend
+  speaks.
 * :mod:`repro.serving.http_common` — request decoding and the uniform
   error envelope behind the HTTP surface (:mod:`repro.gateway.http`,
   which ``repro serve`` runs as a one-tenant gateway).
@@ -26,14 +27,8 @@ from repro.serving.artifacts import (
     join_graph_from_dict,
     join_graph_to_dict,
 )
-from repro.serving.cache import CacheStats, LRUCache
+from repro.serving.cache import CacheStats, CachingJoinPathGenerator, LRUCache
 from repro.serving.http_common import error_envelope
-from repro.serving.service import (
-    CachingJoinPathGenerator,
-    TranslationService,
-    resolve_request_keywords,
-    translate_request,
-)
 from repro.serving.telemetry import LatencySummary, MetricsRegistry, percentile
 from repro.serving.wire import TranslationRequest, TranslationResponse
 
@@ -47,13 +42,10 @@ __all__ = [
     "ServingArtifacts",
     "TranslationRequest",
     "TranslationResponse",
-    "TranslationService",
     "catalog_from_dict",
     "catalog_to_dict",
     "error_envelope",
     "join_graph_from_dict",
     "join_graph_to_dict",
     "percentile",
-    "resolve_request_keywords",
-    "translate_request",
 ]

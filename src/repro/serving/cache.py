@@ -7,6 +7,8 @@ evict-oldest on overflow.  ``get_or_compute`` is single-flight: the
 first thread to miss a key runs the factory *outside* the lock, so a
 slow miss never blocks hits on other keys, and concurrent callers of
 the same key wait for that one computation instead of repeating it.
+:class:`CachingJoinPathGenerator` memoizes an NLIDB's join inference
+through the second one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
+from repro.core.join_inference import JoinPath, JoinPathGenerator
 from repro.errors import ServingError
 
 _MISSING = object()
@@ -180,3 +183,27 @@ class LRUCache:
             f"LRUCache({self.name!r}, {stats.size}/{stats.maxsize}, "
             f"{stats.hits} hits, {stats.misses} misses)"
         )
+
+
+class CachingJoinPathGenerator:
+    """Drop-in ``infer`` memoizer around a :class:`JoinPathGenerator`."""
+
+    def __init__(
+        self, inner: JoinPathGenerator, cache: LRUCache, revision_fn
+    ) -> None:
+        self.inner = inner
+        self.cache = cache
+        self._revision = revision_fn
+
+    def infer(self, relation_bag: list[str]) -> list[JoinPath]:
+        key = (tuple(relation_bag), self._revision())
+        return self.cache.get_or_compute(
+            key, lambda: self.inner.infer(relation_bag)
+        )
+
+    def best(self, relation_bag: list[str]) -> JoinPath | None:
+        paths = self.infer(relation_bag)
+        return paths[0] if paths else None
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)

@@ -1,6 +1,6 @@
 """Serving telemetry: latency percentiles, counters, histograms, QPS.
 
-A :class:`MetricsRegistry` keeps three views of one service's traffic:
+A :class:`MetricsRegistry` keeps three views of one engine's traffic:
 
 * named monotonic **counters**, optionally labelled (e.g.
   ``translate_errors{type="ParseError"}``),
@@ -104,7 +104,7 @@ def _summarize(name: str, samples: list[float]) -> LatencySummary:
 
 
 class MetricsRegistry:
-    """Thread-safe counters and latency series for one service.
+    """Thread-safe counters and latency series for one engine.
 
     Memory is bounded by construction: every latency series is a ring
     buffer of at most ``window`` samples plus one fixed-size histogram,

@@ -181,7 +181,7 @@ class TestEngineTranslate:
         """explain is a pure diagnostic: observe flags are ignored."""
         with mini_engine() as engine:
             engine.explain(TranslationRequest(keywords=KEYWORDS, observe=True))
-            assert engine.service.pending_observations == 0
+            assert engine.pending_observations == 0
 
     def test_nlq_backend_keeps_its_own_parser(self):
         config = EngineConfig(dataset="mini", backend="nalir")
@@ -214,7 +214,7 @@ class TestEngineTranslate:
                     [TranslationRequest(keywords=KEYWORDS, observe=True)]
                 )
             # The check fires before any translation work is paid for.
-            assert "requests" not in engine.service.metrics.snapshot().get(
+            assert "requests" not in engine.metrics.snapshot().get(
                 "counters", {}
             )
 

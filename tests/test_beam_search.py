@@ -138,9 +138,28 @@ def test_beam_path_reports_no_truncation(mini_db, mini_model):
     assert mapper.take_truncation(keywords) == 0
 
 
+def _stub_engine(nlidb, parser=None):
+    """An Engine wired directly around a stub NLIDB (no Templar)."""
+    from repro.api import Engine, EngineConfig
+    from repro.datasets.base import BenchmarkDataset
+    from repro.embedding import Lexicon
+    from repro.nlidb.registry import BackendSpec
+
+    dataset = BenchmarkDataset(
+        name="ties", database=nlidb.database, items=[], lexicon=Lexicon()
+    )
+    backend = BackendSpec(
+        name=nlidb.name, display_name=nlidb.name, augmented=False,
+        parses_nlq=False, factory=None,
+    )
+    return Engine(
+        EngineConfig(dataset="ties"), dataset=dataset, backend=backend,
+        nlidb=nlidb, parser=parser,
+    )
+
+
 def test_truncation_surfaces_in_response_provenance():
     """A truncated request reports the drop through the serving layer."""
-    from repro.serving.service import TranslationService, translate_request
     from repro.serving.wire import TranslationRequest
 
     db = tie_flood_db(tables=3)
@@ -158,23 +177,20 @@ def test_truncation_surfaces_in_response_provenance():
             self._mapper.map_keywords(list(keywords))
             return []
 
-    service = TranslationService(FullEnumerationNLIDB())
+    engine = _stub_engine(FullEnumerationNLIDB())
     request = TranslationRequest(keywords=tuple([kw("gold", WHERE)] * 4))
-    response = translate_request(service, request)
+    response = engine.translate(request)
     assert response.provenance["configurations_truncated"] == 80
     # An untruncated request carries no marker.
-    clean = translate_request(
-        service, TranslationRequest(keywords=(kw("gold", WHERE),))
-    )
+    clean = engine.translate(TranslationRequest(keywords=(kw("gold", WHERE),)))
     assert "configurations_truncated" not in clean.provenance
-    service.close()
+    engine.close()
 
 
 def test_cached_repeats_of_a_truncated_request_report_it():
     """The drop count rides the translate entry: hits report it too."""
     from types import SimpleNamespace
 
-    from repro.serving.service import TranslationService, translate_request
     from repro.serving.wire import TranslationRequest
 
     db = tie_flood_db(tables=3)
@@ -195,24 +211,21 @@ def test_cached_repeats_of_a_truncated_request_report_it():
         def parse(self, nlq):
             return SimpleNamespace(failed=False, keywords=list(truncating))
 
-    service = TranslationService(FullEnumerationNLIDB())
+    engine = _stub_engine(FullEnumerationNLIDB(), parser=FixedParser())
     by_keywords = [
-        translate_request(service, TranslationRequest(keywords=truncating))
+        engine.translate(TranslationRequest(keywords=truncating))
         for _ in range(2)
     ]
     by_nlq = [
-        translate_request(
-            service, TranslationRequest(nlq="gold gold gold gold"),
-            parser=FixedParser(),
-        )
+        engine.translate(TranslationRequest(nlq="gold gold gold gold"))
         for _ in range(2)
     ]
     for response in by_keywords + by_nlq:
         assert response.provenance["configurations_truncated"] == 80
-    stats = service._translate_cache.stats()
+    stats = engine._translate_cache.stats()
     # One computation; the other three requests were cache hits.
     assert (stats.misses, stats.hits) == (1, 3)
-    service.close()
+    engine.close()
 
 
 def test_truncation_surfaces_in_batch_provenance():

@@ -71,7 +71,7 @@ class TestDurableCache:
             assert warm.top.config_score == pytest.approx(
                 first.top.config_score
             )
-            assert b.service.metrics.counter("durable_cache_hits") == 1
+            assert b.metrics.counter("durable_cache_hits") == 1
 
     def test_durable_entry_survives_restart(self, tmp_path):
         with Engine.from_config(_config(tmp_path)) as a:
@@ -97,7 +97,7 @@ class TestDurableCache:
             a.translate(NLQ)
             a.control_plane.flush()
             assert a.translate(NLQ).provenance.get("control_plane") is None
-            assert a.service.metrics.counter("durable_cache_misses") == 0
+            assert a.metrics.counter("durable_cache_misses") == 0
 
     def test_explain_recomputes_after_durable_hit(self, tmp_path):
         with Engine.from_config(_config(tmp_path)) as a:
@@ -115,32 +115,32 @@ class TestIdempotency:
         with Engine.from_config(_config(tmp_path)) as a:
             first = a.translate(NLQ, observe=True, idempotency_key="k1")
             assert first.learnable
-            pending_after_first = a.service.pending_observations
+            pending_after_first = a.pending_observations
             retry = a.translate(NLQ, observe=True, idempotency_key="k1")
             assert retry.provenance["idempotent_replay"] is True
             assert retry.provenance["control_plane"] == "replay"
             assert not retry.learnable
             assert retry.top.sql == first.top.sql
-            assert a.service.pending_observations == pending_after_first
-            assert a.service.metrics.counter("idempotent_replays") == 1
+            assert a.pending_observations == pending_after_first
+            assert a.metrics.counter("idempotent_replays") == 1
 
     def test_retry_on_second_replica_learns_nothing(self, tmp_path):
         with Engine.from_config(_config(tmp_path)) as a:
             a.translate(NLQ, observe=True, idempotency_key="k1")
-            pending_a = a.service.pending_observations
+            pending_a = a.pending_observations
             a.control_plane.flush()
             with Engine.from_config(_config(tmp_path)) as b:
                 retry = b.translate(NLQ, observe=True, idempotency_key="k1")
                 assert retry.provenance["idempotent_replay"] is True
-                assert b.service.pending_observations == 0
-            assert a.service.pending_observations == pending_a == 1
+                assert b.pending_observations == 0
+            assert a.pending_observations == pending_a == 1
 
     def test_key_reuse_with_different_body_conflicts(self, tmp_path):
         with Engine.from_config(_config(tmp_path)) as a:
             a.translate(NLQ, idempotency_key="k1")
             with pytest.raises(IdempotencyError, match="different request"):
                 a.translate("return the authors", idempotency_key="k1")
-            assert a.service.metrics.counter("idempotency_conflicts") == 1
+            assert a.metrics.counter("idempotency_conflicts") == 1
 
     def test_same_key_race_observes_exactly_once(self, tmp_path):
         """Two replicas receive the same key simultaneously: one winner."""
@@ -165,7 +165,7 @@ class TestIdempotency:
             for thread in threads:
                 thread.join()
             total_pending = (
-                a.service.pending_observations + b.service.pending_observations
+                a.pending_observations + b.pending_observations
             )
             assert total_pending == 1
             assert responses["a"].top.sql == responses["b"].top.sql
@@ -182,10 +182,10 @@ class TestIdempotency:
         """The request-hash fallback: at-least-once clients with no header."""
         with Engine.from_config(_config(tmp_path)) as a:
             a.translate(NLQ, observe=True)
-            assert a.service.pending_observations == 1
+            assert a.pending_observations == 1
             retry = a.translate(NLQ, observe=True)
             assert not retry.learnable
-            assert a.service.pending_observations == 1
+            assert a.pending_observations == 1
 
 
 class TestFeedback:
@@ -266,10 +266,10 @@ class TestFeedback:
             # Convergence in the strong sense: identical artifact
             # fingerprints, so they share durable cache entries again.
             fp_a = a.control_plane.artifact_fingerprint(
-                a.service, a.translate(NLQ).provenance
+                a, a.translate(NLQ).provenance
             )
             fp_b = b.control_plane.artifact_fingerprint(
-                b.service, b.translate(NLQ).provenance
+                b, b.translate(NLQ).provenance
             )
             assert fp_a == fp_b
         finally:

@@ -122,27 +122,13 @@ class TestGatewayConfig:
 # ---------------------------------------------------------------- stubs
 
 
-class StubService:
-    def __init__(self) -> None:
-        self.pending: list[str] = []
-        self.closed = False
-
-    @property
-    def pending_observations(self) -> int:
-        return len(self.pending)
-
-    def take_pending(self) -> list[str]:
-        pending, self.pending = self.pending, []
-        return pending
-
-
 class StubEngine:
     """The slice of Engine that EngineHost touches, controllable in tests."""
 
     def __init__(self, version: str = "v1", gate: threading.Event | None = None):
         self.artifact_version = version
         self.templar = object()  # "can learn"
-        self.service = StubService()
+        self.pending: list[str] = []
         self.absorbed = 0
         self.closed = False
         self._gate = gate
@@ -156,21 +142,26 @@ class StubEngine:
             provenance={"artifact_version": self.artifact_version},
         )
 
-    def take_pending(self):
-        return self.service.take_pending()
+    @property
+    def pending_observations(self) -> int:
+        return len(self.pending)
+
+    def take_pending(self) -> list[str]:
+        pending, self.pending = self.pending, []
+        return pending
 
     def stats(self) -> dict:
         return {
             "caches": [],
             "metrics": {"counters": {}},
-            "pending_observations": len(self.service.pending),
+            "pending_observations": len(self.pending),
         }
 
     def observe(self, sql: str) -> None:
-        self.service.pending.append(sql)
+        self.pending.append(sql)
 
     def absorb_pending(self) -> int:
-        absorbed = len(self.service.take_pending())
+        absorbed = len(self.take_pending())
         self.absorbed += absorbed
         return absorbed
 
@@ -179,7 +170,6 @@ class StubEngine:
 
     def close(self) -> None:
         self.closed = True
-        self.service.closed = True
 
 
 def stub_host(tenant="t", max_in_flight=64, factory=None) -> EngineHost:
@@ -273,7 +263,7 @@ class TestEngineHost:
         # The retired engine absorbed nothing: the observations moved to
         # the replacement's queue instead of dying with the old graph.
         assert engines[0].absorbed == 0
-        assert engines[1].service.pending == ["SELECT 1", "SELECT 2"]
+        assert engines[1].pending == ["SELECT 1", "SELECT 2"]
         host.close()
 
     def test_in_flight_request_finishes_on_old_engine_during_reload(self):
@@ -538,11 +528,11 @@ class TestLearningScheduler:
         scheduler = LearningScheduler({"t": host}, 0.01, jitter=0.0)
         scheduler.start()
         deadline = time.time() + 5.0
-        while host.engine.service.pending and time.time() < deadline:
+        while host.engine.pending and time.time() < deadline:
             time.sleep(0.005)
         scheduler.stop()
         assert scheduler._thread is None
-        assert not host.engine.service.pending
+        assert not host.engine.pending
         host.close()
 
     def test_absorb_error_is_counted_not_raised(self):

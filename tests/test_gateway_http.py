@@ -235,14 +235,14 @@ class TestHealthAndStats:
 
     def test_observe_queues_for_the_scheduler(self, gateway_port):
         gateway, port = gateway_port
-        before = gateway.host("mas").engine.service.pending_observations
+        before = gateway.host("mas").engine.pending_observations
         status, _ = _post(
             port, "/t/mas/translate",
             {"nlq": NLQS["mas"], "observe": True},
         )
         assert status == 200
         assert (
-            gateway.host("mas").engine.service.pending_observations
+            gateway.host("mas").engine.pending_observations
             == before + 1
         )
 
@@ -386,8 +386,7 @@ class TestAdmission:
             templar = None
             artifact_version = None
 
-            class service:  # noqa: N801 - attribute stand-in
-                pending_observations = 0
+            pending_observations = 0
 
             def translate(self, request, *, observe=None, idempotency_key=None):
                 gate.set()
@@ -466,6 +465,44 @@ class TestJournaledGateway:
         finally:
             server.shutdown()
             gateway.close()
+
+    def test_shared_writers_are_published_once(self, tmp_path):
+        """The gateway alone publishes its shared journal's and control
+        plane's counters: one unlabelled sample each, not one more per
+        tenant, so a ``sum()`` over the page reads the true count."""
+        from repro.obs.prometheus import parse_exposition
+
+        config = GatewayConfig.from_dict({
+            "tenants": {
+                "mas": {"engine": {"dataset": "mas"}},
+                "yelp": {"engine": {"dataset": "yelp"}},
+            },
+            "journal_dir": str(tmp_path / "journal"),
+            "control_plane_path": str(tmp_path / "plane.sqlite3"),
+        })
+        gateway = Gateway.from_config(config)
+        server = make_gateway_server(gateway, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        gateway.start()
+        try:
+            port = server.server_address[1]
+            status, _ = _post(port, "/t/mas/translate", {"nlq": NLQS["mas"]})
+            assert status == 200
+            gateway.journal.flush()
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/metrics"
+            ) as response:
+                samples = parse_exposition(response.read().decode("utf-8"))
+        finally:
+            server.shutdown()
+            gateway.close()
+        assert samples["repro_journal_written_records_total"] == [({}, 1.0)]
+        for name in ("repro_journal_dropped_records_total",
+                     "repro_journal_queue_depth",
+                     "repro_control_plane_dropped_writes_total",
+                     "repro_control_plane_errors_total"):
+            assert [labels for labels, _ in samples[name]] == [{}], name
 
     def test_records_are_stamped_with_their_tenant(self, journaled_gateway):
         gateway, port = journaled_gateway

@@ -14,11 +14,9 @@ import pickle
 import pytest
 
 from repro.api import Engine, EngineConfig
-from repro.core import Templar
+from repro.datasets.base import BenchmarkDataset
 from repro.errors import ServingError
-from repro.nlidb import NalirParser, PipelineNLIDB
-from repro.serving import TranslationService
-from repro.serving.service import translate_request
+from repro.nlidb import NalirParser
 from repro.serving.wire import TranslationRequest
 from repro.sql.writer import write_query
 
@@ -45,89 +43,97 @@ def parser(mini_db):
     )
 
 
-def _service(mini_db, mini_model, mini_log, **kwargs) -> TranslationService:
-    templar = Templar(mini_db, mini_model, mini_log)
-    nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-    return TranslationService(nlidb, **kwargs)
+def _engine(mini_db, mini_lexicon, mini_log, parser, **config) -> Engine:
+    """A Pipeline+ engine over the mini schema that parses with ``parser``."""
+    dataset = BenchmarkDataset(
+        name="mini", database=mini_db, items=[], lexicon=mini_lexicon,
+    )
+    engine = Engine.from_config(
+        EngineConfig(dataset="mini", log_source="none", **config),
+        dataset=dataset, query_log=mini_log,
+    )
+    engine.parser = parser
+    return engine
 
 
 @pytest.fixture()
-def service(mini_db, mini_model, mini_log):
-    with _service(mini_db, mini_model, mini_log) as svc:
-        yield svc
+def engine(mini_db, mini_lexicon, mini_log, parser):
+    with _engine(mini_db, mini_lexicon, mini_log, parser) as built:
+        yield built
 
 
-def _serve(service, parser, nlq: str = NLQ):
-    return translate_request(service, TranslationRequest(nlq=nlq), parser=parser)
+def _serve(engine, nlq: str = NLQ):
+    return engine.translate(TranslationRequest(nlq=nlq))
 
 
 class TestNLQEntries:
-    def test_repeat_nlq_skips_the_parse(self, service, parser):
-        first = _serve(service, parser)
-        second = _serve(service, parser)
+    def test_repeat_nlq_skips_the_parse(self, engine, parser):
+        first = _serve(engine)
+        second = _serve(engine)
         assert parser.calls == 1
         assert second.results is first.results
         assert second.keywords == first.keywords
         assert first.timings_ms["parse"] > 0.0
         assert second.timings_ms["parse"] == 0.0
 
-    def test_hit_shares_the_keyword_entry_results(self, service, parser):
-        response = _serve(service, parser)
-        by_keywords = service.translate(response.keywords)
+    def test_hit_shares_the_keyword_entry_results(self, engine, parser):
+        response = _serve(engine)
+        by_keywords = engine.translate(response.keywords).results
         assert by_keywords is response.results
-        assert _serve(service, parser).results is by_keywords
+        assert _serve(engine).results is by_keywords
 
-    def test_each_request_records_one_of_everything(self, service, parser):
-        _serve(service, parser)
-        _serve(service, parser)
-        stats = service._translate_cache.stats()
+    def test_each_request_records_one_of_everything(self, engine, parser):
+        _serve(engine)
+        _serve(engine)
+        stats = engine._translate_cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
         # The miss fills two slots: the keyword entry and the NLQ entry.
         assert stats.size == 2
-        assert service.metrics.counter("requests") == 2
-        assert service.metrics.snapshot()["latencies"]["translate"]["count"] == 2
+        assert engine.metrics.counter("requests") == 2
+        assert engine.metrics.snapshot()["latencies"]["translate"]["count"] == 2
 
-    def test_key_is_the_exact_string(self, service, parser):
-        _serve(service, parser)
-        upper = _serve(service, parser, NLQ.upper())
+    def test_key_is_the_exact_string(self, engine, parser):
+        _serve(engine)
+        upper = _serve(engine, NLQ.upper())
         # The parse keeps the original case, so another spelling parses.
         assert parser.calls == 2
         assert upper.timings_ms["parse"] > 0.0
 
-    def test_absorb_retires_nlq_entries(self, service, parser):
-        _serve(service, parser)
-        service.observe("SELECT p.title FROM publication p WHERE p.year > 2000")
-        assert service.absorb_pending() == 1
-        again = _serve(service, parser)
+    def test_absorb_retires_nlq_entries(self, engine, parser):
+        _serve(engine)
+        engine.observe("SELECT p.title FROM publication p WHERE p.year > 2000")
+        assert engine.absorb_pending() == 1
+        again = _serve(engine)
         assert parser.calls == 2
         assert again.timings_ms["parse"] > 0.0
 
     def test_cache_size_zero_parses_every_time(
-        self, mini_db, mini_model, mini_log, parser
+        self, mini_db, mini_lexicon, mini_log, parser
     ):
-        with _service(mini_db, mini_model, mini_log, cache_size=0) as service:
+        with _engine(
+            mini_db, mini_lexicon, mini_log, parser, cache_size=0
+        ) as engine:
             for _ in range(3):
-                assert _serve(service, parser).timings_ms["parse"] > 0.0
-            stats = service._translate_cache.stats()
+                assert _serve(engine).timings_ms["parse"] > 0.0
+            stats = engine._translate_cache.stats()
         assert parser.calls == 3
         assert (stats.hits, stats.misses, stats.size) == (0, 3, 0)
 
-    def test_parse_failures_are_not_cached(self, service, parser):
+    def test_parse_failures_are_not_cached(self, engine, parser):
         for _ in range(2):
             with pytest.raises(ServingError, match="could not parse"):
-                _serve(service, parser, "xyzzy")
+                _serve(engine, "xyzzy")
         assert parser.calls == 2
-        assert len(service._translate_cache) == 0
-        assert service.metrics.counter("requests") == 0
-        assert service.metrics.counter(
+        assert len(engine._translate_cache) == 0
+        assert engine.metrics.counter("requests") == 0
+        assert engine.metrics.counter(
             "translate_errors", labels={"type": "ServingError"}
         ) == 2
 
-    def test_keyword_requests_never_parse(self, service, parser):
-        response = _serve(service, parser)
-        keyword_response = translate_request(
-            service, TranslationRequest(keywords=response.keywords),
-            parser=parser,
+    def test_keyword_requests_never_parse(self, engine, parser):
+        response = _serve(engine)
+        keyword_response = engine.translate(
+            TranslationRequest(keywords=response.keywords)
         )
         assert parser.calls == 1
         assert keyword_response.results is response.results
@@ -146,7 +152,7 @@ class TestFeedbackRetiresNLQEntries:
             engine.translate("return the authors")
             assert parser.calls == 1
             engine.control_plane.submit_feedback(
-                engine.service.journal_tenant, "accept",
+                engine.journal_tenant, "accept",
                 request_id=first.provenance["request_id"],
             )
             assert engine.apply_feedback() == 1
@@ -158,7 +164,7 @@ class TestFeedbackRetiresNLQEntries:
 
 class TestRenderedOnce:
     def test_sql_is_written_once_and_matches_the_writer(
-        self, service, parser, monkeypatch
+        self, engine, parser, monkeypatch
     ):
         import repro.nlidb.base as base
 
@@ -169,18 +175,18 @@ class TestRenderedOnce:
             return write_query(query)
 
         monkeypatch.setattr(base, "write_query", counting_write)
-        results = _serve(service, parser).results
+        results = _serve(engine).results
         for result in results:
             assert result.sql == write_query(result.query)
             assert result.sql is result.sql
         # Every result was written exactly once, however often it was read.
         assert sorted(map(id, calls)) == sorted(id(r.query) for r in results)
-        hit = _serve(service, parser).results
+        hit = _serve(engine).results
         assert [r.sql for r in hit] == [r.sql for r in results]
         assert len(calls) == len(results)
 
-    def test_equality_and_pickles_ignore_the_memo(self, service, parser):
-        [result, *_] = _serve(service, parser).results
+    def test_equality_and_pickles_ignore_the_memo(self, engine, parser):
+        [result, *_] = _serve(engine).results
         before = pickle.dumps(result)
         sql = result.sql
         assert pickle.dumps(result) == before

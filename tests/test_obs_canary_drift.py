@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import types
 import urllib.request
 
 import pytest
@@ -146,14 +145,39 @@ class StubEngine:
         self._answers = answers or {}
         self._score = score
         self._failing = failing
-        self.service = types.SimpleNamespace(translate=self._translate)
 
-    def _translate(self, keywords):
+    def _lookup(self, request):
         if self._failing:
             raise RuntimeError("boom")
-        text = " ".join(k.text for k in keywords)
-        return [Result(self._answers.get(text, f"SELECT '{text}'"),
-                       self._score)]
+        text = " ".join(k.text for k in request.keywords)
+        results = [Result(self._answers.get(text, f"SELECT '{text}'"),
+                          self._score)]
+        return request.keywords, results, 0, 0.0, True
+
+
+class TestShadowReplays:
+    def test_replays_leave_the_live_registry_alone(self):
+        """A canary replay is not a served request: it warms the caches
+        but counts no request and records no latency sample."""
+        from repro.api import Engine, EngineConfig
+
+        records = [{"kind": "request", "nlq": "return the papers after 2000",
+                    "keywords": None}] * 5
+        with Engine.from_config(EngineConfig(dataset="mas")) as live, \
+                Engine.from_config(EngineConfig(dataset="mas")) as candidate:
+            report = run_canary(live, candidate, records,
+                                tenant="mas", threshold=0.1)
+            assert report.replayed == 5 and report.mismatches == 0
+            for engine in (live, candidate):
+                snapshot = engine.metrics.snapshot()
+                assert snapshot["counters"].get("requests", 0) == 0
+                assert snapshot["latencies"] == {}
+                translate = next(
+                    c for c in engine.stats()["caches"]
+                    if c["name"] == "translate"
+                )
+                # The warm-up is the documented feature: one miss, then hits.
+                assert (translate["misses"], translate["hits"]) == (1, 4)
 
 
 def record(texts):

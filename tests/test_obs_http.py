@@ -98,8 +98,8 @@ class TestMetricsScrape:
                 {"keywords": [{"text": "papers", "context": "SELECT"}]},
             )
             assert status == 500
-            service = http_server.gateway.host("mas").engine.service
-            assert service.metrics.counter(
+            engine = http_server.gateway.host("mas").engine
+            assert engine.metrics.counter(
                 "translate_errors", labels={"type": "RuntimeError"}
             ) == 1
             _, _, page = _get_raw(http_server, "/metrics")

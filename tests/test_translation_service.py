@@ -1,4 +1,4 @@
-"""TranslationService: cache consistency, batching, and online learning."""
+"""Engine serving: cache consistency, batching, and online learning."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from repro.core import Keyword, KeywordMetadata, QueryLog, Templar
 from repro.core.fragments import FragmentContext
 from repro.datasets.base import BenchmarkDataset
 from repro.embedding import CompositeModel
-from repro.errors import ServingError
+from repro.errors import ConfigError, ServingError
 from repro.nlidb import PipelineNLIDB
-from repro.serving import TranslationService
 
 
 def _mini_requests() -> list[list[Keyword]]:
@@ -34,25 +33,28 @@ def _mini_requests() -> list[list[Keyword]]:
     ]
 
 
-@pytest.fixture()
-def service(mini_db, mini_model, mini_log):
-    templar = Templar(mini_db, mini_model, mini_log)
-    nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-    with TranslationService(nlidb) as svc:
-        yield svc
-
-
-@pytest.fixture()
-def engine(mini_db, mini_lexicon, mini_log):
+def _mini_engine(mini_db, mini_lexicon, mini_log, **config) -> Engine:
+    """A Pipeline+ engine over the mini schema, learning from ``mini_log``."""
     dataset = BenchmarkDataset(
         name="mini", database=mini_db, items=[], lexicon=mini_lexicon,
         schema_terms=["papers", "journals", "authors"],
     )
-    config = EngineConfig(dataset="mini", log_source="none")
-    with Engine.from_config(
-        config, dataset=dataset, query_log=mini_log
-    ) as built:
+    config.setdefault("log_source", "none")
+    query_log = mini_log if config.get("backend") != "pipeline" else None
+    return Engine.from_config(
+        EngineConfig(dataset="mini", **config),
+        dataset=dataset, query_log=query_log,
+    )
+
+
+@pytest.fixture()
+def engine(mini_db, mini_lexicon, mini_log):
+    with _mini_engine(mini_db, mini_lexicon, mini_log) as built:
         yield built
+
+
+def _results(engine, keywords):
+    return engine.translate(keywords).results
 
 
 def _translate_stats(engine) -> dict:
@@ -73,17 +75,14 @@ class TestCachedConsistency:
             for kw in _mini_requests()
         ]
 
-        served_templar = Templar(mini_db, mini_model, mini_log)
-        served_nlidb = PipelineNLIDB(mini_db, mini_model, served_templar)
-        with TranslationService(served_nlidb) as service:
-            # Twice through the service: cold then fully cached.
-            for _ in range(2):
-                single = [
-                    [(r.sql, r.config_score, r.join_score)
-                     for r in service.translate(kw)]
-                    for kw in _mini_requests()
-                ]
-                assert single == direct_out
+        # Twice through the engine: cold then fully cached.
+        for _ in range(2):
+            single = [
+                [(r.sql, r.config_score, r.join_score)
+                 for r in _results(engine, kw)]
+                for kw in _mini_requests()
+            ]
+            assert single == direct_out
         # Twice through the engine's batch API: cold then fully cached.
         for _ in range(2):
             batched = [
@@ -121,14 +120,14 @@ class TestCachedConsistency:
 
 
 class TestCachingBehaviour:
-    def test_repeat_request_is_a_cache_hit(self, service):
+    def test_repeat_request_is_a_cache_hit(self, engine):
         keywords = _mini_requests()[0]
-        first = service.translate(keywords)
-        second = service.translate(keywords)
+        first = _results(engine, keywords)
+        second = _results(engine, keywords)
         assert second is first
-        stats = service._translate_cache.stats()
-        assert stats.hits == 1
-        assert stats.misses == 1
+        stats = _translate_stats(engine)
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1
 
     def test_batch_deduplicates_identical_requests(self, engine):
         # The translate cache is the one dedup mechanism: a batch's
@@ -141,9 +140,10 @@ class TestCachingBehaviour:
         stats = _translate_stats(engine)
         assert (stats["misses"], stats["hits"]) == (1, 2)
 
-    def test_equal_but_distinct_keyword_objects_share_an_entry(self, service):
-        first = service.translate(_mini_requests()[0])
-        again = service.translate(
+    def test_equal_but_distinct_keyword_objects_share_an_entry(self, engine):
+        first = _results(engine, _mini_requests()[0])
+        again = _results(
+            engine,
             [
                 Keyword("papers", KeywordMetadata(FragmentContext.SELECT)),
                 Keyword(
@@ -157,12 +157,12 @@ class TestCachingBehaviour:
     def test_empty_batch(self, engine):
         assert engine.translate_batch([]) == []
 
-    def test_stage_caches_serve_across_requests(self, service):
+    def test_stage_caches_serve_across_requests(self, engine):
         # Two different NLQs over the same relations share join-path work.
-        service.translate(_mini_requests()[0])
-        service.translate(_mini_requests()[1])
+        engine.translate(_mini_requests()[0])
+        engine.translate(_mini_requests()[1])
         join_stats = next(
-            c for c in service.stats()["caches"] if c["name"] == "join_paths"
+            c for c in engine.stats()["caches"] if c["name"] == "join_paths"
         )
         assert join_stats["hits"] > 0
 
@@ -172,7 +172,7 @@ class TestCachingBehaviour:
             _mini_requests()
         )
         for keywords in _mini_requests():
-            engine.service.translate(keywords)
+            engine.translate(keywords)
         assert _translate_stats(engine)["hits"] >= len(_mini_requests())
 
 
@@ -246,83 +246,84 @@ class TestOneMissPath:
 
 
 class TestOnlineLearning:
-    def test_observe_and_absorb_bumps_revision_and_invalidates(self, service):
+    def test_observe_and_absorb_bumps_revision_and_invalidates(self, engine):
         keywords = _mini_requests()[0]
-        before = service.translate(keywords)
-        revision = service.templar.qfg.revision
+        before = _results(engine, keywords)
+        revision = engine.templar.qfg.revision
 
-        service.observe("SELECT p.title FROM publication p WHERE p.year > 2000")
-        assert service.pending_observations == 1
-        assert service.absorb_pending() == 1
-        assert service.pending_observations == 0
-        assert service.templar.qfg.revision == revision + 1
+        engine.observe("SELECT p.title FROM publication p WHERE p.year > 2000")
+        assert engine.pending_observations == 1
+        assert engine.absorb_pending() == 1
+        assert engine.pending_observations == 0
+        assert engine.templar.qfg.revision == revision + 1
 
-        after = service.translate(keywords)
+        after = _results(engine, keywords)
         # New revision => new cache entry (recomputed, not the old object).
         assert after is not before
         assert [r.sql for r in after] == [r.sql for r in before]
 
-    def test_unparseable_observation_is_counted_not_raised(self, service):
-        service.observe("SELECT garbage FROM nowhere at all")
-        assert service.absorb_pending() == 0
-        assert service.metrics.counter("observe_errors") == 1
+    def test_unparseable_observation_is_counted_not_raised(self, engine):
+        engine.observe("SELECT garbage FROM nowhere at all")
+        assert engine.absorb_pending() == 0
+        assert engine.metrics.counter("observe_errors") == 1
 
-    def test_learn_batch_size_auto_absorbs(self, mini_db, mini_model, mini_log):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        with TranslationService(nlidb, learn_batch_size=2) as service:
-            service.observe("SELECT j.name FROM journal j")
-            assert service.pending_observations == 1
+    def test_learn_batch_size_auto_absorbs(self, mini_db, mini_lexicon, mini_log):
+        with _mini_engine(
+            mini_db, mini_lexicon, mini_log, learn_batch_size=2
+        ) as engine:
+            engine.observe("SELECT j.name FROM journal j")
+            assert engine.pending_observations == 1
             # The observation that fills the batch absorbs it inline.
-            service.observe("SELECT a.name FROM author a")
-            assert service.metrics.counter("observed_absorbed") == 2
-            assert service.pending_observations == 0
+            engine.observe("SELECT a.name FROM author a")
+            assert engine.metrics.counter("observed_absorbed") == 2
+            assert engine.pending_observations == 0
 
-    def test_pending_queue_is_bounded(self, mini_db, mini_model, mini_log):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        with TranslationService(nlidb, max_pending=3) as service:
-            for i in range(5):
-                service.observe(f"SELECT j.name FROM journal j -- {i}")
-            assert service.pending_observations == 3
-            assert service.metrics.counter("observed_dropped") == 2
+    def test_pending_queue_is_bounded(self, engine, monkeypatch):
+        import repro.api.engine as engine_module
 
-    def test_observe_without_templar_raises(self, mini_db, mini_model):
-        nlidb = PipelineNLIDB(mini_db, mini_model, None)
-        with TranslationService(nlidb) as service:
+        monkeypatch.setattr(engine_module, "MAX_PENDING", 3)
+        for i in range(5):
+            engine.observe(f"SELECT j.name FROM journal j -- {i}")
+        assert engine.pending_observations == 3
+        assert engine.metrics.counter("observed_dropped") == 2
+
+    def test_observe_without_templar_raises(self, mini_db, mini_lexicon, mini_log):
+        with _mini_engine(
+            mini_db, mini_lexicon, mini_log, backend="pipeline"
+        ) as engine:
             with pytest.raises(ServingError):
-                service.observe("SELECT j.name FROM journal j")
+                engine.observe("SELECT j.name FROM journal j")
 
-    def test_take_pending_moves_queue_without_absorbing(self, service):
-        revision = service.templar.qfg.revision
-        service.observe("SELECT j.name FROM journal j")
-        service.observe("SELECT a.name FROM author a")
-        taken = service.take_pending()
+    def test_take_pending_moves_queue_without_absorbing(self, engine):
+        revision = engine.templar.qfg.revision
+        engine.observe("SELECT j.name FROM journal j")
+        engine.observe("SELECT a.name FROM author a")
+        taken = engine.take_pending()
         assert taken == [
             "SELECT j.name FROM journal j", "SELECT a.name FROM author a"
         ]
-        assert service.pending_observations == 0
+        assert engine.pending_observations == 0
         # Nothing reached the graph: the caller owns the statements now
         # (the gateway hands them to a replacement engine on hot-swap).
-        assert service.templar.qfg.revision == revision
-        assert service.absorb_pending() == 0
+        assert engine.templar.qfg.revision == revision
+        assert engine.absorb_pending() == 0
 
-    def test_closed_service_refuses_observations(self, service):
-        service.close()
+    def test_closed_service_refuses_observations(self, engine):
+        engine.close()
         with pytest.raises(ServingError, match="closed"):
-            service.observe("SELECT j.name FROM journal j")
+            engine.observe("SELECT j.name FROM journal j")
 
-    def test_close_is_idempotent(self, service):
-        service.observe("SELECT j.name FROM journal j")
-        service.close()
-        service.close()
-        assert service.pending_observations == 0
+    def test_close_is_idempotent(self, engine):
+        engine.observe("SELECT j.name FROM journal j")
+        engine.close()
+        engine.close()
+        assert engine.pending_observations == 0
 
 
 class TestServiceStats:
-    def test_stats_shape(self, service):
-        service.translate(_mini_requests()[0])
-        stats = service.stats()
+    def test_stats_shape(self, engine):
+        engine.translate(_mini_requests()[0])
+        stats = engine.stats()
         assert stats["system"] == "Pipeline+"
         assert {c["name"] for c in stats["caches"]} == {
             "translate", "join_paths"
@@ -349,29 +350,37 @@ class TestServiceStats:
             }})
         assert gateway.tenants["mas"].engine == EngineConfig(dataset="mas")
 
-    def test_double_wrapping_one_nlidb_rejected(
-        self, mini_db, mini_model, mini_log
-    ):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        with TranslationService(nlidb):
-            with pytest.raises(ServingError, match="already wrapped"):
-                TranslationService(nlidb)
+    def test_double_wrapping_one_nlidb_rejected(self, engine):
+        with pytest.raises(ServingError, match="already serves"):
+            Engine(
+                engine.config, dataset=engine.dataset,
+                backend=engine.backend, nlidb=engine.nlidb,
+            )
 
     def test_close_absorbs_acknowledged_observations(
-        self, mini_db, mini_model, mini_log
+        self, mini_db, mini_lexicon, mini_log
     ):
-        templar = Templar(mini_db, mini_model, mini_log)
-        nlidb = PipelineNLIDB(mini_db, mini_model, templar)
-        service = TranslationService(nlidb, learn_batch_size=100)
-        before = templar.qfg.total_queries
-        service.observe("SELECT j.name FROM journal j")
-        service.close()
-        assert templar.qfg.total_queries == before + 1
-        assert service.pending_observations == 0
+        engine = _mini_engine(
+            mini_db, mini_lexicon, mini_log, learn_batch_size=100
+        )
+        before = engine.templar.qfg.total_queries
+        engine.observe("SELECT j.name FROM journal j")
+        engine.close()
+        assert engine.templar.qfg.total_queries == before + 1
+        assert engine.pending_observations == 0
 
-    def test_out_of_range_learn_batch_rejected(self, mini_db, mini_model):
-        nlidb = PipelineNLIDB(mini_db, mini_model, None)
-        for bad in (8, 0, -1):
-            with pytest.raises(ServingError, match="max_pending"):
-                TranslationService(nlidb, learn_batch_size=bad, max_pending=4)
+    def test_out_of_range_learn_batch_rejected(self):
+        """The queue bound is checked when the config decodes, not when
+        an engine (or a gateway's listener) is already being built."""
+        from repro.api.config import MAX_PENDING
+        from repro.gateway import GatewayConfig
+
+        for bad in (MAX_PENDING + 1, 0, -1):
+            with pytest.raises(ConfigError, match="learn_batch_size"):
+                EngineConfig(learn_batch_size=bad)
+        assert EngineConfig(learn_batch_size=MAX_PENDING).learn_batch_size \
+            == MAX_PENDING
+        with pytest.raises(ConfigError, match="learn_batch_size"):
+            GatewayConfig.from_dict({"tenants": {
+                "mas": {"engine": {"dataset": "mas", "learn_batch_size": 5000}}
+            }})
